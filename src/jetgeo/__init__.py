@@ -23,12 +23,12 @@ from .expr import (
 )
 from .geometry import (
     ExprMatrix,
+    Derivation,
     GeometryReport,
     OdeSystem,
     VerificationRecord,
     analyze,
-    cartan_connection,
-    curvature,
+    derive,
     electromagnetic_form,
     jacobian,
     maxwell_check,

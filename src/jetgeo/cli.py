@@ -26,13 +26,7 @@ import sys
 from typing import Sequence
 
 from .expr import ParseError, parse_expression, to_string
-from .geometry import (
-    GeometryReport,
-    OdeSystem,
-    analyze,
-    cartan_connection,
-    curvature,
-)
+from .geometry import GeometryReport, OdeSystem, analyze
 from .levelset import (
     EllipticCylinder,
     EmptySet,
@@ -138,6 +132,10 @@ def _load_system(args: argparse.Namespace):
         return parse_system_file(fh.read()), None, args.file
 
 
+#: why the generalized Cartan connection and its curvature are not computed
+_VANISHING_NOTE = "vanishes identically for the Euclidean pair (unit temporal metric, delta_ij)"
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -152,11 +150,11 @@ def _print_report(system: OdeSystem, label: str, report: GeometryReport) -> None
     print(_indent(str(report.jacobian)))
     print("nonlinear connection:")
     print(_indent(str(report.connection)))
-    print(f"cartan connection: all components zero ({cartan_connection(system).note})")
+    print(f"cartan connection: all components zero ({_VANISHING_NOTE})")
     for name, slice_k in zip(system.state_names, report.torsion):
         print(f"torsion slice d/d{name}:")
         print(_indent(str(slice_k)))
-    print(f"curvature: all components zero ({curvature(system).note})")
+    print(f"curvature: all components zero ({_VANISHING_NOTE})")
     print("electromagnetic form:")
     print(_indent(str(report.electromagnetic)))
     print(f"yang-mills energy: {to_string(report.yang_mills_energy)}")
@@ -348,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_level.add_mutually_exclusive_group(required=False)
     group.add_argument("--model", choices=("cancer", "hiv1"))
     group.add_argument("--file")
-    p_level.add_argument("--seed", type=int, default=0)
     p_level.add_argument("--C", type=float, help="energy level for closed-form classification")
     p_level.add_argument("--k", type=float, default=1.0)
     p_level.add_argument("--n", type=float, default=1.0)

@@ -36,6 +36,7 @@ __all__ = [
     "free_symbols",
     "to_string",
     "compile_expr",
+    "sample_points",
     "sample_deviation",
     "numerically_equivalent",
     "DEFAULT_SAMPLES",
@@ -305,7 +306,10 @@ class _Parser:
     def base(self) -> Expr:
         tok = self.advance()
         if tok.kind == "NUM":
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok.text!r} overflows a double", tok.pos)
+            return Num(value)
         if tok.kind == "IDENT":
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "(":
@@ -542,11 +546,17 @@ def _is_one(e: Expr) -> bool:
     return isinstance(e, Num) and e.value == 1.0
 
 
+def _folded(value: float, unfolded: Expr) -> Expr:
+    """The folded constant, or the unfolded node when the constant overflows."""
+    return Num(value) if math.isfinite(value) else unfolded
+
+
 def simplify(e: Expr) -> Expr:
     """Constant folding and identity elimination; no canonical form is attempted.
 
     The result is numerically equivalent to the input wherever the input is
-    defined.
+    defined. Constants are folded only to finite values, so the result prints
+    in the input grammar.
     """
     if isinstance(e, (Num, Sym)):
         return e
@@ -568,7 +578,7 @@ def simplify(e: Expr) -> Expr:
         if _is_zero(r):
             return l
         if isinstance(l, Num) and isinstance(r, Num):
-            return Num(l.value + r.value)
+            return _folded(l.value + r.value, Add(l, r))
         return Add(l, r)
     if isinstance(e, Sub):
         l, r = simplify(e.left), simplify(e.right)
@@ -579,7 +589,7 @@ def simplify(e: Expr) -> Expr:
         if l == r:
             return Num(0.0)
         if isinstance(l, Num) and isinstance(r, Num):
-            return Num(l.value - r.value)
+            return _folded(l.value - r.value, Sub(l, r))
         return Sub(l, r)
     if isinstance(e, Mul):
         l, r = simplify(e.left), simplify(e.right)
@@ -590,7 +600,7 @@ def simplify(e: Expr) -> Expr:
         if _is_one(r):
             return l
         if isinstance(l, Num) and isinstance(r, Num):
-            return Num(l.value * r.value)
+            return _folded(l.value * r.value, Mul(l, r))
         # sign pushing; exact in IEEE arithmetic
         if isinstance(l, Neg) and isinstance(r, Neg):
             return simplify(Mul(l.arg, r.arg))
@@ -606,7 +616,7 @@ def simplify(e: Expr) -> Expr:
         if _is_zero(l) and not _is_zero(r):
             return Num(0.0)
         if isinstance(l, Num) and isinstance(r, Num) and r.value != 0.0:
-            return Num(l.value / r.value)
+            return _folded(l.value / r.value, Div(l, r))
         return Div(l, r)
     if isinstance(e, Pow):
         base = simplify(e.base)
@@ -685,6 +695,42 @@ def compile_expr(e: Expr, args: Sequence[str], backend: str = "math") -> Callabl
 # sampling equivalence oracle
 
 
+def sample_points(
+    probes: Sequence[Expr],
+    domain: Box,
+    samples: int,
+    seed: int,
+    fixed: Bindings | None = None,
+) -> list[tuple[dict[str, float], list[float]]]:
+    """Seeded uniform draws from the box, each with the values of every probe.
+
+    Every draw binds `fixed` first and then each box symbol, in sorted order.
+    Points where a probe is singular or non-finite are redrawn; if more than
+    90% of draws are rejected the box is unusable and an EvaluationError is
+    raised rather than guessing.
+    """
+    rng = random.Random(seed)
+    names = sorted(domain)
+    accepted: list[tuple[dict[str, float], list[float]]] = []
+    draws = 0
+    limit = 10 * samples
+    while len(accepted) < samples:
+        if draws >= limit:
+            raise EvaluationError(
+                f"more than 90% of {draws} sample draws hit singularities"
+            )
+        draws += 1
+        point = dict(fixed or {})
+        point.update({name: rng.uniform(*domain[name]) for name in names})
+        try:
+            values = [evaluate(p, point) for p in probes]
+        except EvaluationError:
+            continue
+        if all(math.isfinite(v) for v in values):
+            accepted.append((point, values))
+    return accepted
+
+
 def sample_deviation(
     e1: Expr,
     e2: Expr,
@@ -694,9 +740,8 @@ def sample_deviation(
 ) -> float:
     """Max of |e1 - e2| / (1 + max(|e1|, |e2|)) over sampled points of the box.
 
-    Points where either expression is singular are redrawn; if more than 90%
-    of draws are singular the box is unusable and an EvaluationError is
-    raised rather than guessing.
+    Points where either expression is singular are redrawn (see
+    `sample_points`).
     """
     needed = free_symbols(e1) | free_symbols(e2)
     missing = needed - set(domain)
@@ -705,27 +750,8 @@ def sample_deviation(
     for name, (lo, hi) in domain.items():
         if not (lo < hi):
             raise ValueError(f"degenerate interval for '{name}': [{lo}, {hi}]")
-    rng = random.Random(seed)
-    names = sorted(domain)
     worst = 0.0
-    valid = 0
-    draws = 0
-    limit = 10 * samples
-    while valid < samples:
-        if draws >= limit:
-            raise EvaluationError(
-                f"more than 90% of {draws} sample draws hit singularities"
-            )
-        draws += 1
-        point = {name: rng.uniform(*domain[name]) for name in names}
-        try:
-            v1 = evaluate(e1, point)
-            v2 = evaluate(e2, point)
-        except EvaluationError:
-            continue
-        if not (math.isfinite(v1) and math.isfinite(v2)):
-            continue
-        valid += 1
+    for _, (v1, v2) in sample_points((e1, e2), domain, samples, seed):
         worst = max(worst, abs(v1 - v2) / (1.0 + max(abs(v1), abs(v2))))
     return worst
 

@@ -17,7 +17,8 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .expr import compile_expr, simplify, substitute
-from .geometry import OdeSystem, yang_mills_energy
+from .geometry import OdeSystem, derive
+from .models import require_positive
 
 __all__ = [
     "EmptySet",
@@ -100,21 +101,15 @@ class QuadricInvariants:
 
 
 def hiv_invariants(k: float, n: float, delta: float, C: float) -> QuadricInvariants:
-    _check_hiv_args(k, n, delta, C)
+    require_positive(k=k, n=n, delta=delta)
+    if C < 0.0:
+        raise ValueError(f"level must be nonnegative, got {C}")
     return QuadricInvariants(
         discriminant=k**4 * ((n * delta) ** 2 - 8.0 * C),
         minor=2.0 * k**4,
         trace=3.0 * k**2,
         critical_level=(n * delta) ** 2 / 8.0,
     )
-
-
-def _check_hiv_args(k: float, n: float, delta: float, C: float) -> None:
-    bad = {name: v for name, v in (("k", k), ("n", n), ("delta", delta)) if not v > 0.0}
-    if bad:
-        raise ValueError(f"parameters must be positive: {bad}")
-    if C < 0.0:
-        raise ValueError(f"level must be nonnegative, got {C}")
 
 
 def classify_hiv_level_set(
@@ -126,7 +121,9 @@ def classify_hiv_level_set(
     relative eps band of C* it is the line T = n delta / (2k), V = 0 (Tstar
     free); above it, a right elliptic cylinder around that line.
     """
-    _check_hiv_args(k, n, delta, C)
+    require_positive(k=k, n=n, delta=delta)
+    if C < 0.0:
+        raise ValueError(f"level must be nonnegative, got {C}")
     c_star = (n * delta) ** 2 / 8.0
     center = n * delta / (2.0 * k)
     if C < c_star * (1.0 - eps):
@@ -153,9 +150,7 @@ def cancer_zero_curve(
     P values where the denominator vanishes (relative to the magnitude of its
     terms) are excluded and reported as poles.
     """
-    bad = {name: v for name, v in (("a", a), ("h", h), ("k", k)) if not v > 0.0}
-    if bad:
-        raise ValueError(f"parameters must be positive: {bad}")
+    require_positive(a=a, h=h, k=k)
     if len(P_samples) == 0:
         raise ValueError("empty P sample list")
     samples = []
@@ -349,7 +344,7 @@ def extract_contours(
     if level < 0.0:
         raise ValueError(f"level must be nonnegative, got {level}")
 
-    energy = yang_mills_energy(s)
+    energy = derive(s).yang_mills_energy
     bindings = dict(s.params)
     bindings.update({name: float(fixed[name]) for name in remaining})
     field = simplify(substitute(energy, bindings))

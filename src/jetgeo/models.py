@@ -14,16 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .expr import Box, Expr, differentiate, parse_expression, sample_deviation
-from .geometry import (
-    ExprMatrix,
-    OdeSystem,
-    VerificationRecord,
-    electromagnetic_form,
-    jacobian,
-    nonlinear_connection,
-    torsion,
-    yang_mills_energy,
-)
+from .geometry import Derivation, ExprMatrix, OdeSystem, VerificationRecord, derive
 
 __all__ = [
     "GoldenSet",
@@ -33,6 +24,7 @@ __all__ = [
     "builtin_model",
     "golden_compare",
     "golden_domain",
+    "require_positive",
     "MODEL_NAMES",
 ]
 
@@ -73,7 +65,8 @@ class GoldenComparison:
         return max((r.max_deviation for r in self.records), default=0.0)
 
 
-def _require_positive(**params: float) -> None:
+def require_positive(**params: float) -> None:
+    """Reject model parameters that are not strictly positive."""
     bad = {name: value for name, value in params.items() if not value > 0.0}
     if bad:
         raise ValueError(f"parameters must be positive: {bad}")
@@ -98,7 +91,7 @@ def cancer_model(
         dQ/dt = -r Q + a P(P+Q) - F(P,Q)
         F(P,Q) = h P Q / (1 + k P^2)
     """
-    _require_positive(r=r, a=a, h=h, k=k)
+    require_positive(r=r, a=a, h=h, k=k)
     transition = "h*P*Q/(1 + k*P^2)"
     system = OdeSystem.from_strings(
         ("P", "Q"),
@@ -172,7 +165,7 @@ def hiv_model(
         dTstar/dt = k T V - delta Tstar
         dV/dt     = n delta Tstar - c V
     """
-    _require_positive(s=s, p=p, d=d, delta=delta, m=m, k=k, n=n, c=c)
+    require_positive(s=s, p=p, d=d, delta=delta, m=m, k=k, n=n, c=c)
     system = OdeSystem.from_strings(
         ("T", "Tstar", "V"),
         (
@@ -246,9 +239,9 @@ def builtin_model(name: str, **params: float) -> tuple[OdeSystem, GoldenSet]:
 _PATH_RE = re.compile(r"^(jacobian|connection|torsion|electromagnetic)((?:\[\d+\])+)$")
 
 
-def _resolve_path(path: str, objects: dict) -> Expr:
+def _resolve_path(path: str, d: Derivation) -> Expr:
     if path == "EYM":
-        return objects["EYM"]
+        return d.yang_mills_energy
     match = _PATH_RE.match(path)
     if not match:
         raise ValueError(f"unresolvable golden path {path!r}")
@@ -259,8 +252,8 @@ def _resolve_path(path: str, objects: dict) -> Expr:
             if len(indices) != 3:
                 raise IndexError
             k, i, j = indices
-            return objects["torsion"][k].entry(i, j)
-        matrix: ExprMatrix = objects[name]
+            return d.torsion[k].entry(i, j)
+        matrix: ExprMatrix = getattr(d, name)
         if len(indices) != 2:
             raise IndexError
         return matrix.entry(*indices)
@@ -282,16 +275,10 @@ def golden_compare(
     records the worst relative deviation; the whole set passes only if every
     path passes.
     """
-    objects = {
-        "jacobian": jacobian(system),
-        "connection": nonlinear_connection(system),
-        "torsion": torsion(system),
-        "electromagnetic": electromagnetic_form(system),
-        "EYM": yang_mills_energy(system),
-    }
+    d = derive(system)
     records = []
     for path in sorted(golden.entries):
-        engine = _resolve_path(path, objects)
+        engine = _resolve_path(path, d)
         dev = sample_deviation(engine, golden.entries[path], domain, samples=samples, seed=seed)
         records.append(
             VerificationRecord(f"golden:{path}", dev <= tolerance, dev, tolerance)

@@ -15,12 +15,8 @@ from jetgeo.expr import Num, evaluate
 from jetgeo.geometry import (
     OdeSystem,
     default_domain,
-    electromagnetic_form,
-    jacobian,
+    derive,
     maxwell_check,
-    nonlinear_connection,
-    torsion,
-    yang_mills_energy,
 )
 from jetgeo.levelset import (
     EllipticCylinder,
@@ -91,10 +87,9 @@ def test_criterion_3_structural_invariants(random_fields):
     rng = random.Random(7)
     worst = 0.0
     for system in random_fields:
-        N = nonlinear_connection(system)
-        F = electromagnetic_form(system)
-        slices = torsion(system)
-        energy = yang_mills_energy(system)  # triangular form, trace cross-checked
+        d = derive(system)
+        N, F, slices = d.connection, d.electromagnetic, d.torsion
+        energy = d.yang_mills_energy  # triangular form, checked against the trace form below
         trace_form = Num(0.0)
         for entry in F:
             trace_form = trace_form + entry**2
@@ -130,7 +125,7 @@ def test_criterion_4_maxwell_identity(random_fields):
     worst = 0.0
     systems = [cancer_model()[0], hiv_model()[0], *random_fields]
     for system in systems:
-        record = maxwell_check(system, default_domain(system), samples=32)
+        record = maxwell_check(derive(system), default_domain(system), samples=32)
         worst = max(worst, record.max_deviation / (record.tolerance / 1e-9))
         assert record.passed, record
     _report(
@@ -145,11 +140,10 @@ def test_criterion_5_gradient_field_degeneracy():
     worst = 0.0
     for _ in range(20):
         system = gradient_field(rng, rng.choice((2, 3)), degree=4)
-        N = nonlinear_connection(system)
-        F = electromagnetic_form(system)
-        slices = torsion(system)
-        energy = yang_mills_energy(system)
-        J = jacobian(system)
+        d = derive(system)
+        N, F, slices, energy, J = (
+            d.connection, d.electromagnetic, d.torsion, d.yang_mills_energy, d.jacobian
+        )
         for _ in range(5):
             point = {name: rng.uniform(0.1, 2.0) for name in system.state_names}
             scale = 1.0 + float(np.max(np.abs(J.evaluate(point))))
@@ -213,7 +207,7 @@ def test_criterion_8_hiv_level_set_trichotomy():
         assert sign == expected_sign, (C, disc)
 
     system, _ = hiv_model()
-    energy = yang_mills_energy(system)
+    energy = derive(system).yang_mills_energy
     worst = 0.0
     for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
         point = dict(system.params)
@@ -241,7 +235,7 @@ def test_criterion_9_cancer_zero_curve():
         h = rng.uniform(0.1, 2.0)
         k = rng.uniform(0.1, 2.0)
         system, _ = cancer_model(a=a, h=h, k=k)
-        energy = yang_mills_energy(system)
+        energy = derive(system).yang_mills_energy
         curve = cancer_zero_curve(a, h, k, np.linspace(0.025, 5.0, 200))
         assert len(curve.samples) + len(curve.poles) == 200
         for P, Q in curve.samples:

@@ -163,6 +163,14 @@ def test_levelset_requires_a_mode(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_levelset_rejects_seed_option(capsys):
+    # no levelset mode samples, so a seed would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        run_command(["levelset", "--C", "0.125", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_trace_writes_csv_and_checks_geodesic(tmp_path, capsys):
     out_path = tmp_path / "traj.csv"
     status = run_command(

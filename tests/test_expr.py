@@ -269,6 +269,25 @@ def test_round_trip_reference_formulas(text):
     assert numerically_equivalent(e, parse_expression(to_string(e)), box)
 
 
+def test_round_trip_never_prints_non_finite_constants():
+    # folding any of these to a constant would give inf, which prints as a symbol
+    for e in (
+        Num(1e200) * Num(1e200),
+        Num(1e308) + Num(1e308),
+        Num(-1e308) - Num(1e308),
+        Num(1e300) / Num(1e-300),
+    ):
+        folded = simplify(e)
+        assert folded == e
+        reparsed = parse_expression(to_string(folded))
+        assert free_symbols(reparsed) == frozenset()
+        assert simplify(reparsed) == folded
+    # a literal that overflows is rejected instead of read back as inf
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse_expression("x + 1e400")
+    assert err.value.position == 4
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_round_trip_random_trees(case_seed):

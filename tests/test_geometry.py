@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -16,17 +17,12 @@ from jetgeo.expr import (
 from jetgeo.geometry import (
     ExprMatrix,
     OdeSystem,
+    VerificationRecord,
     antisymmetry_check,
-    cartan_connection,
-    curvature,
     default_domain,
-    electromagnetic_form,
+    derive,
     jacobian,
     maxwell_check,
-    nonlinear_connection,
-    torsion,
-    yang_mills_energy,
-    zero_matrix,
 )
 from jetgeo.models import cancer_model, hiv_model
 
@@ -139,7 +135,7 @@ def test_linear_field_jacobian_is_constant_matrix():
 
 
 def test_hiv_connection_matches_closed_form(hiv):
-    N = nonlinear_connection(hiv)
+    N = derive(hiv).connection
     point = {**hiv.params, "T": 1.3, "Tstar": 0.7, "V": 2.1, "k": 0.8, "n": 1.5, "delta": 0.6}
     kv, kt, nd = 0.8 * 2.1, 0.8 * 1.3, 1.5 * 0.6
     expected = -0.5 * np.array([[0, -kv, -kt], [kv, 0, kt - nd], [kt, -kt + nd, 0]])
@@ -147,7 +143,7 @@ def test_hiv_connection_matches_closed_form(hiv):
 
 
 def test_cancer_connection_offdiagonal(cancer):
-    N = nonlinear_connection(cancer)
+    N = derive(cancer).connection
     known = ("P", "Q", "r", "a", "h", "k")
     g = "(2*a+1)*P + a*Q - h*Q*(1-k*P^2)/(1+k*P^2)^2 - h*P/(1+k*P^2)"
     box = {name: (0.1, 2.0) for name in known}
@@ -160,21 +156,21 @@ def test_cancer_connection_offdiagonal(cancer):
 def test_explicit_gradient_field_connection_is_structurally_zero():
     # X = grad(x^2 + y^2) = (2x, 2y) has a symmetric Jacobian
     s = OdeSystem.from_strings(("x", "y"), ("2*x", "2*y"))
-    assert all(entry == Num(0.0) for entry in nonlinear_connection(s))
-    assert all(entry == Num(0.0) for entry in electromagnetic_form(s))
+    d = derive(s)
+    assert all(entry == Num(0.0) for entry in d.connection)
+    assert all(entry == Num(0.0) for entry in d.electromagnetic)
 
 
 def test_random_gradient_fields_degenerate_numerically():
     rng = random.Random(99)
     for _ in range(5):
         s = gradient_field(rng, rng.choice((2, 3)))
-        N = nonlinear_connection(s)
-        E = yang_mills_energy(s)
-        slices = torsion(s)
+        d = derive(s)
+        N, E, slices = d.connection, d.yang_mills_energy, d.torsion
         for _ in range(5):
             point = {name: rng.uniform(0.1, 2.0) for name in s.state_names}
             nv = N.evaluate(point)
-            jv = jacobian(s).evaluate(point)
+            jv = d.jacobian.evaluate(point)
             scale = 1.0 + float(np.max(np.abs(jv)))
             assert np.max(np.abs(nv)) <= 1e-12 * scale
             assert abs(evaluate(E, point)) <= (1e-12 * scale) ** 2
@@ -183,7 +179,7 @@ def test_random_gradient_fields_degenerate_numerically():
 
 
 def test_hiv_torsion_slices_match_closed_form(hiv):
-    slices = torsion(hiv)
+    slices = derive(hiv).torsion
     point = {**hiv.params, "T": 2.0, "Tstar": 1.0, "V": 0.5, "k": 1.7}
     k = 1.7
     r1 = np.array([[0, 0, k / 2], [0, 0, -k / 2], [-k / 2, k / 2, 0]])
@@ -198,7 +194,7 @@ def test_cancer_torsion_slices_match_closed_form(cancer):
     box = {name: (0.1, 2.0) for name in known}
     f_pp = "-2*h*k*P*Q*(3-k*P^2)/(1+k*P^2)^3"
     f_pq = "h*(1-k*P^2)/(1+k*P^2)^2"
-    slices = torsion(cancer)
+    slices = derive(cancer).torsion
     assert numerically_equivalent(
         slices[0][0, 1], parse_expression(f"a + (1 - ({f_pp}) - ({f_pq}))/2", known), box
     )
@@ -209,14 +205,14 @@ def test_cancer_torsion_slices_match_closed_form(cancer):
 
 def test_linear_field_torsion_vanishes():
     s = linear_system([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0], [0.5, 0.0, 1.0]])
-    for R in torsion(s):
+    for R in derive(s).torsion:
         assert all(entry == Num(0.0) for entry in R)
 
 
 def test_electromagnetic_form_is_structural_negation(hiv, cancer):
     for s in (hiv, cancer):
-        N = nonlinear_connection(s)
-        F = electromagnetic_form(s)
+        d = derive(s)
+        N, F = d.connection, d.electromagnetic
         for i in range(s.n):
             for j in range(s.n):
                 assert F[i, j] == simplify(Neg(N[i, j]))
@@ -226,31 +222,12 @@ def test_torsion_slices_are_antisymmetric_on_random_fields():
     rng = random.Random(41)
     for _ in range(5):
         s = random_rational_field(rng, rng.choice((2, 3)))
-        for R in torsion(s):
+        for R in derive(s).torsion:
             for _ in range(3):
                 point = {name: rng.uniform(0.1, 2.0) for name in s.state_names}
                 rv = R.evaluate(point)
                 scale = 1.0 + float(np.max(np.abs(rv)))
                 assert np.max(np.abs(rv + rv.T)) <= 1e-12 * scale
-
-
-# ---------------------------------------------------------------------------
-# vanishing objects
-
-
-def test_cartan_connection_and_curvature_vanish(hiv, cancer):
-    for s in (hiv, cancer):
-        for obj in (cartan_connection(s), curvature(s)):
-            assert obj.shape == (s.n, s.n, s.n)
-            assert obj.note
-            mats = obj.matrices()
-            assert len(mats) == s.n
-            for m in mats:
-                assert all(entry == Num(0.0) for entry in m)
-
-
-def test_zero_matrix_helper():
-    assert all(entry == Num(0.0) for entry in zero_matrix(3))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +239,7 @@ def test_hiv_energy_matches_closed_form(hiv):
         "(k^2*(V^2+T^2)+(k*T-n*delta)^2)/4", ("T", "Tstar", "V", "k", "n", "delta")
     )
     box = {name: (0.1, 3.0) for name in ("T", "Tstar", "V", "k", "n", "delta")}
-    assert numerically_equivalent(yang_mills_energy(hiv), golden, box)
+    assert numerically_equivalent(derive(hiv).yang_mills_energy, golden, box)
 
 
 def test_cancer_energy_matches_closed_form(cancer):
@@ -270,26 +247,31 @@ def test_cancer_energy_matches_closed_form(cancer):
     g = "(2*a+1)*P + a*Q - h*Q*(1-k*P^2)/(1+k*P^2)^2 - h*P/(1+k*P^2)"
     golden = parse_expression(f"(({g}))^2/4", known)
     box = {name: (0.1, 3.0) for name in known}
-    assert numerically_equivalent(yang_mills_energy(cancer), golden, box)
+    assert numerically_equivalent(derive(cancer).yang_mills_energy, golden, box)
 
 
 def test_constant_field_energy_is_zero():
     s = OdeSystem.from_strings(("x", "y"), ("3", "-1"))
-    assert yang_mills_energy(s) == Num(0.0)
+    assert derive(s).yang_mills_energy == Num(0.0)
 
 
-def test_energy_nonnegative_and_zero_iff_form_vanishes():
+def test_energy_nonnegative_and_zero_iff_form_vanishes(hiv, cancer):
     rng = random.Random(17)
-    for _ in range(10):
-        s = random_rational_field(rng, rng.choice((2, 3)))
-        E = yang_mills_energy(s)
-        F = electromagnetic_form(s)
+    trig = OdeSystem.from_strings(("x", "y"), ("sin(x*y) + cos(y)", "x*cos(x) - sin(y)^2"))
+    fields = (random_rational_field(rng, rng.choice((2, 3))) for _ in range(10))
+    for s in itertools.chain(fields, (cancer, hiv, trig)):
+        d = derive(s)
+        E, F = d.yang_mills_energy, d.electromagnetic
         for _ in range(5):
-            point = {name: rng.uniform(0.1, 2.0) for name in s.state_names}
+            point = {**s.params, **{name: rng.uniform(0.1, 2.0) for name in s.state_names}}
             energy = evaluate(E, point)
-            biggest = float(np.max(np.abs(F.evaluate(point))))
+            fv = F.evaluate(point)
+            biggest = float(np.max(np.abs(fv)))
             assert energy >= 0.0
             assert (energy <= 1e-18) == (biggest <= 1e-9)
+            # the triangular sum equals the trace form 1/2 Tr(F F^T)
+            trace_form = 0.5 * float(np.trace(fv @ fv.T))
+            assert abs(energy - trace_form) <= 1e-12 * (1.0 + trace_form)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +279,9 @@ def test_energy_nonnegative_and_zero_iff_form_vanishes():
 
 
 def test_maxwell_check_builtin_models(hiv, cancer):
-    rec_h = maxwell_check(hiv, {name: (0.0, 10.0) for name in hiv.state_names})
+    rec_h = maxwell_check(derive(hiv), {name: (0.0, 10.0) for name in hiv.state_names})
     assert rec_h.passed and rec_h.max_deviation == 0.0
-    rec_c = maxwell_check(cancer, {name: (0.0, 5.0) for name in cancer.state_names})
+    rec_c = maxwell_check(derive(cancer), {name: (0.0, 5.0) for name in cancer.state_names})
     assert rec_c.passed
 
 
@@ -317,11 +299,12 @@ def test_maxwell_check_random_cubic_field_against_finite_differences():
         for _ in range(3)
     )
     s = OdeSystem(names, comps)
-    record = maxwell_check(s, default_domain(s), samples=32)
+    d = derive(s)
+    record = maxwell_check(d, default_domain(s), samples=32)
     assert record.passed
 
     # independent route: cyclic sums from central finite differences of F
-    F = electromagnetic_form(s)
+    F = d.electromagnetic
     step = 1e-5
     for _ in range(5):
         point = {name: rng.uniform(0.2, 1.8) for name in names}
@@ -342,12 +325,26 @@ def test_maxwell_check_random_cubic_field_against_finite_differences():
 
 def test_maxwell_check_rejects_degenerate_box(hiv):
     with pytest.raises(ValueError, match="degenerate"):
-        maxwell_check(hiv, {"T": (1.0, 1.0), "Tstar": (0.0, 1.0), "V": (0.0, 1.0)})
+        maxwell_check(derive(hiv), {"T": (1.0, 1.0), "Tstar": (0.0, 1.0), "V": (0.0, 1.0)})
 
 
 def test_antisymmetry_check_passes_on_random_fields():
     rng = random.Random(23)
     for _ in range(5):
         s = random_rational_field(rng, rng.choice((2, 3, 4)))
-        record = antisymmetry_check(s, default_domain(s))
+        record = antisymmetry_check(derive(s), default_domain(s))
         assert record.passed, record
+
+
+def test_check_records_store_builtin_types():
+    s = random_rational_field(random.Random(1), 4)
+    d = derive(s)
+    records = [
+        maxwell_check(d, default_domain(s)),
+        antisymmetry_check(d, default_domain(s)),
+        VerificationRecord("numpy", np.bool_(True), np.float64(1.0), np.float64(2.0)),
+    ]
+    for record in records:
+        assert type(record.passed) is bool
+        assert type(record.max_deviation) is float
+        assert type(record.tolerance) is float

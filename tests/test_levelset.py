@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jetgeo.expr import evaluate
-from jetgeo.geometry import yang_mills_energy
+from jetgeo.geometry import derive
 from jetgeo.levelset import (
     Contours,
     EllipticCylinder,
@@ -82,7 +82,7 @@ def test_cylinder_semi_axes_ordered():
 
 def test_cylinder_parametrization_lies_on_energy_level():
     system, _ = hiv_model()
-    energy = yang_mills_energy(system)
+    energy = derive(system).yang_mills_energy
     rng = random.Random(10)
     for _ in range(5):
         k = rng.uniform(0.3, 2.0)
@@ -130,7 +130,7 @@ def test_zero_curve_zeroes_engine_energy():
         h = rng.uniform(0.1, 2.0)
         k = rng.uniform(0.1, 2.0)
         system, _ = cancer_model(a=a, h=h, k=k)
-        energy = yang_mills_energy(system)
+        energy = derive(system).yang_mills_energy
         curve = cancer_zero_curve(a, h, k, np.linspace(0.025, 5.0, 100))
         for P, Q in curve.samples:
             point = dict(system.params)
@@ -235,7 +235,7 @@ def test_extract_contours_on_gradient_slice_is_empty():
 
 def test_extract_contours_vertices_lie_on_level():
     system, _ = cancer_model(r=0.5, a=0.3, h=1.0, k=0.1)
-    energy = yang_mills_energy(system)
+    energy = derive(system).yang_mills_energy
     level = 0.25
     result = extract_contours(system, ("P", "Q"), {}, ((0.0, 3.0), (0.0, 3.0)), level, 128)
     assert result.polylines

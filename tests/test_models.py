@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from jetgeo.expr import Num, numerically_equivalent, parse_expression
-from jetgeo.geometry import nonlinear_connection, torsion
+from jetgeo.geometry import derive
 from jetgeo.models import (
     GoldenSet,
     builtin_model,
@@ -91,12 +91,12 @@ def test_wrong_sign_golden_fails_exactly_that_path(hiv):
 
 def test_hiv_middle_torsion_slice_is_identically_zero(hiv):
     system, _ = hiv
-    assert all(entry == Num(0.0) for entry in torsion(system)[1])
+    assert all(entry == Num(0.0) for entry in derive(system).torsion[1])
 
 
 def test_connection_diagonals_are_identically_zero(hiv, cancer):
     for system in (hiv[0], cancer[0]):
-        N = nonlinear_connection(system)
+        N = derive(system).connection
         for i in range(system.n):
             assert N[i, i] == Num(0.0)
 

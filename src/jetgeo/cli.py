@@ -121,7 +121,6 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", choices=("cancer", "hiv1"), help="built-in model")
     group.add_argument("--file", help="system description file")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
 
 def _load_system(args: argparse.Namespace):
@@ -324,12 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # only the commands that sample take a seed
     p_analyze = sub.add_parser("analyze", help="derived objects and identity verdicts")
     _add_system_options(p_analyze)
+    p_analyze.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="golden regression and invariant suite")
     _add_system_options(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p_verify.add_argument("--samples", type=int, default=32, help="sample points per check")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -11,9 +11,12 @@ object from the one before it:
 
 The adapted components of the generalized Cartan connection and of the
 curvature tensor vanish identically in this flat setting; that is stated,
-not computed. F satisfies the cyclic Maxwell identity with the covariant
-derivative reduced to the plain partial derivative, which `maxwell_check`
-verifies numerically.
+not computed. N and F are antisymmetric and F = -N by construction: N_ij
+and N_ji come from the same two entries of J, and each sign change on the way
+is exact in floating point. The test suite covers these identities; nothing
+re-checks them at runtime. F satisfies the cyclic Maxwell identity with the
+covariant derivative reduced to the plain partial derivative, which
+`maxwell_check` verifies numerically.
 """
 
 from __future__ import annotations
@@ -52,13 +55,10 @@ __all__ = [
     "electromagnetic_form",
     "yang_mills_energy",
     "maxwell_check",
-    "antisymmetry_check",
     "analyze",
     "default_domain",
 ]
 
-#: absolute tolerance scale for polynomial identities
-POLY_TOL = 1e-12
 #: relative tolerance for rational-function identities
 RATIONAL_TOL = 1e-9
 
@@ -207,10 +207,9 @@ class GeometryReport(Derivation):
     """A derivation plus the verdicts of its identity checks."""
 
     maxwell: VerificationRecord
-    antisymmetry: VerificationRecord
 
     def records(self) -> tuple[VerificationRecord, ...]:
-        return (self.maxwell, self.antisymmetry)
+        return (self.maxwell,)
 
     @property
     def passed(self) -> bool:
@@ -285,16 +284,6 @@ def _validate_state_box(s: OdeSystem, domain: Box) -> None:
             raise ValueError(f"degenerate domain box for '{name}': [{lo}, {hi}]")
 
 
-def _sample_states(
-    d: Derivation, domain: Box, samples: int, seed: int, probes: Sequence[Expr]
-) -> list[list[float]]:
-    """Probe values at state samples (parameters bound from the system)."""
-    s = d.system
-    _validate_state_box(s, domain)
-    states = {name: domain[name] for name in s.state_names}
-    return [values for _, values in sample_points(probes, states, samples, seed, s.params)]
-
-
 def maxwell_check(
     d: Derivation,
     domain: Box,
@@ -309,42 +298,19 @@ def maxwell_check(
     points; the tolerance scales with the largest partial-derivative magnitude
     seen.
     """
-    n = d.system.n
+    s, n = d.system, d.system.n
+    _validate_state_box(s, domain)
+    states = {name: domain[name] for name in s.state_names}
     probes = [e for R in d.torsion for e in R]
     worst = 0.0
     scale = 0.0
-    for values in _sample_states(d, domain, samples, seed, probes):
+    for _, values in sample_points(probes, states, samples, seed, s.params):
         r = np.array(values).reshape(n, n, n)  # r[k, i, j] = R_k[i, j]
         scale = max(scale, float(np.max(np.abs(r))))
         cyclic = r + r.transpose(2, 0, 1) + r.transpose(1, 2, 0)
         worst = max(worst, float(np.max(np.abs(cyclic))))
     tol = RATIONAL_TOL * (1.0 + scale)
     return VerificationRecord("maxwell", worst <= tol, worst, tol)
-
-
-def antisymmetry_check(
-    d: Derivation,
-    domain: Box,
-    samples: int = 32,
-    seed: int = 0,
-) -> VerificationRecord:
-    """N + N^T = 0, F + F^T = 0 and F = -N entrywise at sampled points."""
-    n = d.system.n
-    probes = tuple(d.connection) + tuple(d.electromagnetic)
-    worst = 0.0
-    scale = 0.0
-    for values in _sample_states(d, domain, samples, seed, probes):
-        nv = np.array(values[: n * n]).reshape(n, n)
-        fv = np.array(values[n * n :]).reshape(n, n)
-        scale = max(scale, float(np.max(np.abs(nv))), float(np.max(np.abs(fv))))
-        worst = max(
-            worst,
-            float(np.max(np.abs(nv + nv.T))),
-            float(np.max(np.abs(fv + fv.T))),
-            float(np.max(np.abs(fv + nv))),
-        )
-    tol = POLY_TOL * (1.0 + scale)
-    return VerificationRecord("antisymmetry", worst <= tol, worst, tol)
 
 
 def analyze(
@@ -360,5 +326,4 @@ def analyze(
     return GeometryReport(
         **vars(d),
         maxwell=maxwell_check(d, domain, samples=samples, seed=seed),
-        antisymmetry=antisymmetry_check(d, domain, samples=samples, seed=seed),
     )

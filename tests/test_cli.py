@@ -79,7 +79,8 @@ def test_analyze_builtin_model_passes(capsys):
     out = capsys.readouterr().out
     assert status == 0
     assert "PASS maxwell" in out
-    assert "PASS antisymmetry" in out
+    # antisymmetry holds by construction and is not re-checked at runtime
+    assert "antisymmetry" not in out
     assert "yang-mills energy:" in out
 
 
@@ -167,6 +168,14 @@ def test_levelset_rejects_seed_option(capsys):
     # no levelset mode samples, so a seed would be silently ignored
     with pytest.raises(SystemExit) as exc:
         run_command(["levelset", "--C", "0.125", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_trace_rejects_seed_option(capsys):
+    # integration draws no random numbers, so a seed would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        run_command(["trace", "--model", "cancer", "--x0", "1,1", "--t", "1", "--dt", "0.01", "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 

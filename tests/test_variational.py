@@ -287,6 +287,21 @@ def test_geodesic_check_passes_for_both_models(cancer):
         assert record.passed, record
 
 
+def test_geodesic_check_matches_lagrangian_residual(cancer):
+    """geodesic_check takes 2 (P - x'') from the prolongation; at its worst
+    sample that must equal the residual expanded from L itself."""
+    hiv = hiv_model()[0]
+    for s, x0 in ((cancer, (1.0, 1.0)), (hiv, (1.0, 1.0, 1.0))):
+        traj = integrate_flow(s, x0, 2.0, 1e-3)
+        record = geodesic_check(s, traj)
+        m = int(record.detail.split("interior sample ")[1].split()[0])
+        x, dt = traj.samples, traj.dt
+        vel = (x[m + 1] - x[m - 1]) / (2.0 * dt)
+        acc = (x[m + 1] - 2.0 * x[m] + x[m - 1]) / (dt * dt)
+        res = euler_lagrange_residual(s, x[m], vel, acc)
+        assert float(np.linalg.norm(res)) == pytest.approx(record.max_deviation, rel=1e-6)
+
+
 def test_geodesic_check_detects_corrupted_sample(cancer):
     traj = integrate_flow(cancer, (1.0, 1.0), 2.0, 1e-3)
     corrupted = traj.samples.copy()

@@ -1,8 +1,9 @@
 """Symbolic expression trees over named real variables.
 
 Small, self-contained computer algebra core: parsing, differentiation,
-lightweight simplification, IEEE-double evaluation, and a seeded sampling
-oracle that decides whether two expressions agree as functions on a box.
+lightweight simplification, compilation to numpy lambdas (with `evaluate` as
+the reference interpreter), and a seeded sampling oracle that decides whether
+two expressions agree as functions on a box.
 Trees are immutable after construction and every operation is a pure
 function, so expressions may be shared freely across threads.
 """
@@ -13,6 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -375,8 +378,7 @@ def _prec(e: Expr) -> int:
 
 def _fmt(e: Expr, ctx: int) -> str:
     if isinstance(e, Num):
-        s = _format_number(abs(e.value)) if e.value < 0 else _format_number(e.value)
-        s = "-" + s if e.value < 0 else s
+        s = _format_number(e.value)
     elif isinstance(e, Sym):
         s = e.name
     elif isinstance(e, Neg):
@@ -647,7 +649,8 @@ def simplify(e: Expr) -> Expr:
 
 def _emit(e: Expr, names: Mapping[str, str]) -> str:
     if isinstance(e, Num):
-        return repr(float(e.value))
+        text = repr(float(e.value))
+        return f"({text})" if text.startswith("-") else text
     if isinstance(e, Sym):
         return names[e.name]
     if isinstance(e, Neg):
@@ -667,32 +670,34 @@ def _emit(e: Expr, names: Mapping[str, str]) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_expr(e: Expr, args: Sequence[str], backend: str = "math") -> Callable[..., float]:
-    """Compile to a positional-argument Python function.
+def compile_expr(e: Expr, args: Sequence[str]) -> Callable[..., float]:
+    """Compile to a positional-argument lambda: the one runtime evaluator.
 
-    backend "math" gives scalar semantics with real exceptions on domain
-    errors; backend "numpy" broadcasts over array inputs. Hot paths
-    (integration, grid sampling) use this; `evaluate` stays the reference
-    interpreter. Symbols map to positional slots, so any symbol name is fine.
+    Functions come from numpy, so array arguments evaluate a whole batch of
+    points in one call and follow numpy's error state; Python float operands
+    raise ZeroDivisionError or OverflowError as Python does. `evaluate` is
+    the reference interpreter for the tests. Symbols map to positional slots.
     """
-    missing = free_symbols(e) - set(args)
-    if missing:
-        raise ValueError(f"expression uses symbols not in argument list: {sorted(missing)}")
-    if backend == "math":
-        namespace = {"_lib": math}
-    elif backend == "numpy":
-        import numpy
-
-        namespace = {"_lib": numpy}
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     names = {name: f"_a{i}" for i, name in enumerate(args)}
-    source = f"lambda {', '.join(names[a] for a in args)}: {_emit(e, names)}"
-    return eval(source, namespace)  # noqa: S307 - source is generated, not user input
+    try:
+        body = _emit(e, names)
+    except KeyError as exc:
+        raise ValueError(f"expression uses a symbol not in argument list: {exc}") from None
+    source = f"lambda {', '.join(names[a] for a in args)}: {body}"
+    return eval(source, {"_lib": np})  # noqa: S307 - source is generated, not user input
 
 
 # ---------------------------------------------------------------------------
 # sampling equivalence oracle
+
+
+class _Batch(np.ndarray):
+    """Sample columns raised to integer powers by the C library's pow, as in
+    `evaluate`; numpy's `**` squares exactly and vectorizes other powers, so
+    its last bit can differ."""
+
+    def __pow__(self, exponent):
+        return np.float_power(self, exponent)
 
 
 def sample_points(
@@ -701,34 +706,48 @@ def sample_points(
     samples: int,
     seed: int,
     fixed: Bindings | None = None,
-) -> list[tuple[dict[str, float], list[float]]]:
-    """Seeded uniform draws from the box, each with the values of every probe.
+) -> np.ndarray:
+    """Seeded uniform draws from the box; row m holds every probe at draw m.
 
     Every draw binds `fixed` first and then each box symbol, in sorted order.
-    Points where a probe is singular or non-finite are redrawn; if more than
+    Each probe is compiled once and evaluated on batches of draws as large as
+    the shortfall, so the accepted draws are those of a point-by-point loop.
+    Draws where a probe is singular or non-finite are redrawn; if more than
     90% of draws are rejected the box is unusable and an EvaluationError is
     raised rather than guessing.
     """
+    consts = {k: float(v) for k, v in (fixed or {}).items() if k not in domain}
+    missing = set().union(*map(free_symbols, probes)) - set(domain) - set(consts)
+    if missing:
+        raise ValueError(f"domain box missing symbols: {sorted(missing)}")
+    for name, (lo, hi) in domain.items():
+        if not (lo < hi):
+            raise ValueError(f"degenerate interval for '{name}': [{lo}, {hi}]")
     rng = random.Random(seed)
     names = sorted(domain)
-    accepted: list[tuple[dict[str, float], list[float]]] = []
-    draws = 0
+    funcs = [compile_expr(p, (*names, *consts)) for p in probes]
+    chunks = [np.empty((0, len(probes)))]
+    accepted = draws = 0
     limit = 10 * samples
-    while len(accepted) < samples:
+    while accepted < samples:
         if draws >= limit:
             raise EvaluationError(
                 f"more than 90% of {draws} sample draws hit singularities"
             )
-        draws += 1
-        point = dict(fixed or {})
-        point.update({name: rng.uniform(*domain[name]) for name in names})
-        try:
-            values = [evaluate(p, point) for p in probes]
-        except EvaluationError:
-            continue
-        if all(math.isfinite(v) for v in values):
-            accepted.append((point, values))
-    return accepted
+        batch = min(samples - accepted, limit - draws)
+        draws += batch
+        points = np.array([[rng.uniform(*domain[name]) for name in names] for _ in range(batch)])
+        cols = points.T.view(_Batch)
+        values = np.empty((batch, len(probes)))
+        with np.errstate(all="ignore"):
+            try:
+                for i, fn in enumerate(funcs):
+                    values[:, i] = fn(*cols, *consts.values())
+            except (ZeroDivisionError, OverflowError):
+                values[:] = np.nan  # a constant subtree is singular at every draw
+        chunks.append(values[np.isfinite(values).all(axis=1)])
+        accepted += len(chunks[-1])
+    return np.concatenate(chunks)
 
 
 def sample_deviation(
@@ -743,17 +762,9 @@ def sample_deviation(
     Points where either expression is singular are redrawn (see
     `sample_points`).
     """
-    needed = free_symbols(e1) | free_symbols(e2)
-    missing = needed - set(domain)
-    if missing:
-        raise ValueError(f"domain box missing symbols: {sorted(missing)}")
-    for name, (lo, hi) in domain.items():
-        if not (lo < hi):
-            raise ValueError(f"degenerate interval for '{name}': [{lo}, {hi}]")
-    worst = 0.0
-    for _, (v1, v2) in sample_points((e1, e2), domain, samples, seed):
-        worst = max(worst, abs(v1 - v2) / (1.0 + max(abs(v1), abs(v2))))
-    return worst
+    v1, v2 = sample_points((e1, e2), domain, samples, seed).T
+    dev = np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
+    return float(np.max(dev, initial=0.0))
 
 
 def numerically_equivalent(

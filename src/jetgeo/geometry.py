@@ -274,16 +274,6 @@ def default_domain(s: OdeSystem, lo: float = 0.1, hi: float = 2.0) -> dict[str, 
     return {name: (lo, hi) for name in s.state_names}
 
 
-def _validate_state_box(s: OdeSystem, domain: Box) -> None:
-    missing = set(s.state_names) - set(domain)
-    if missing:
-        raise ValueError(f"domain box missing state variables: {sorted(missing)}")
-    for name in s.state_names:
-        lo, hi = domain[name]
-        if not (lo < hi):
-            raise ValueError(f"degenerate domain box for '{name}': [{lo}, {hi}]")
-
-
 def maxwell_check(
     d: Derivation,
     domain: Box,
@@ -299,16 +289,13 @@ def maxwell_check(
     seen.
     """
     s, n = d.system, d.system.n
-    _validate_state_box(s, domain)
-    states = {name: domain[name] for name in s.state_names}
+    states = {name: box for name, box in domain.items() if name in s.state_names}
     probes = [e for R in d.torsion for e in R]
-    worst = 0.0
-    scale = 0.0
-    for _, values in sample_points(probes, states, samples, seed, s.params):
-        r = np.array(values).reshape(n, n, n)  # r[k, i, j] = R_k[i, j]
-        scale = max(scale, float(np.max(np.abs(r))))
-        cyclic = r + r.transpose(2, 0, 1) + r.transpose(1, 2, 0)
-        worst = max(worst, float(np.max(np.abs(cyclic))))
+    r = sample_points(probes, states, samples, seed, s.params).reshape(-1, n, n, n)
+    # r[m, k, i, j] = R_k[i, j] at draw m
+    cyclic = r + r.transpose(0, 3, 1, 2) + r.transpose(0, 2, 3, 1)
+    worst = float(np.max(np.abs(cyclic), initial=0.0))
+    scale = float(np.max(np.abs(r), initial=0.0))
     tol = RATIONAL_TOL * (1.0 + scale)
     return VerificationRecord("maxwell", worst <= tol, worst, tol)
 

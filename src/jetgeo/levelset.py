@@ -16,8 +16,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .expr import compile_expr, simplify, substitute
-from .geometry import OdeSystem, derive
+from .expr import EvaluationError, compile_expr, simplify, substitute
+from .geometry import OdeSystem, electromagnetic_form, jacobian, nonlinear_connection, yang_mills_energy
 from .models import require_positive
 
 __all__ = [
@@ -327,7 +327,9 @@ def extract_contours(
     """Marching-squares contours of {EYM = level} on a 2-d slice of state space.
 
     The two `axes` states vary over `box`; every remaining state must be bound
-    in `fixed`. Grid resolution is the number of cells per side.
+    in `fixed`. Grid resolution is the number of cells per side. A pole in
+    the box is an error: if the energy is non-finite at any grid node or cell
+    centre, an EvaluationError gives their count and the first location.
     """
     u, v = axes
     if u == v:
@@ -344,23 +346,28 @@ def extract_contours(
     if level < 0.0:
         raise ValueError(f"level must be nonnegative, got {level}")
 
-    energy = derive(s).yang_mills_energy
+    energy = yang_mills_energy(electromagnetic_form(nonlinear_connection(jacobian(s))))
     bindings = dict(s.params)
     bindings.update({name: float(fixed[name]) for name in remaining})
     field = simplify(substitute(energy, bindings))
-    fn = compile_expr(field, (u, v), backend="numpy")
+    fn = compile_expr(field, (u, v))
 
     (ulo, uhi), (vlo, vhi) = box
     us = np.linspace(ulo, uhi, grid + 1)
     vs = np.linspace(vlo, vhi, grid + 1)
-    values = np.broadcast_to(
-        np.asarray(fn(us[:, None], vs[None, :]), dtype=float), (us.size, vs.size)
-    )
-    uc = 0.5 * (us[:-1] + us[1:])
-    vc = 0.5 * (vs[:-1] + vs[1:])
-    centers = np.broadcast_to(
-        np.asarray(fn(uc[:, None], vc[None, :]), dtype=float), (uc.size, vc.size)
-    )
+    uc, vc = 0.5 * (us[:-1] + us[1:]), 0.5 * (vs[:-1] + vs[1:])
+    grids, bad = [], []
+    with np.errstate(all="ignore"):
+        for a, b in ((us, vs), (uc, vc)):
+            f = np.broadcast_to(np.asarray(fn(a[:, None], b[None, :]), dtype=float), (a.size, b.size))
+            bad += [(a[i], b[j]) for i, j in np.argwhere(~np.isfinite(f))]
+            grids.append(f)
+    if bad:
+        raise EvaluationError(
+            f"energy is non-finite at {len(bad)} grid nodes and cell centres, "
+            f"first at {u}={bad[0][0]:.6g}, {v}={bad[0][1]:.6g}"
+        )
+    values, centers = grids
     polylines = marching_squares(us, vs, values, level, centers)
     return Contours(
         level=float(level),

@@ -276,19 +276,12 @@ def golden_compare(
     path passes.
     """
     d = derive(system)
+    pairs = [(path, _resolve_path(path, d), golden.entries[path]) for path in sorted(golden.entries)]
+    pairs += [(name, *golden.auxiliary[name]) for name in sorted(golden.auxiliary)]
     records = []
-    for path in sorted(golden.entries):
-        engine = _resolve_path(path, d)
-        dev = sample_deviation(engine, golden.entries[path], domain, samples=samples, seed=seed)
-        records.append(
-            VerificationRecord(f"golden:{path}", dev <= tolerance, dev, tolerance)
-        )
-    for name in sorted(golden.auxiliary):
-        engine, reference = golden.auxiliary[name]
+    for name, engine, reference in pairs:
         dev = sample_deviation(engine, reference, domain, samples=samples, seed=seed)
-        records.append(
-            VerificationRecord(f"golden:{name}", dev <= tolerance, dev, tolerance)
-        )
+        records.append(VerificationRecord(f"golden:{name}", dev <= tolerance, dev, tolerance))
     return GoldenComparison(tuple(records))
 
 

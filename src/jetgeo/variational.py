@@ -178,22 +178,24 @@ def integrate_flow(
 
     state = [float(v) for v in x0]
     samples = [list(state)]
-    for m in range(steps):
-        t = t0 + m * dt
-        try:
-            k1 = rhs(state)
-            k2 = rhs([x + 0.5 * dt * k for x, k in zip(state, k1)])
-            k3 = rhs([x + 0.5 * dt * k for x, k in zip(state, k2)])
-            k4 = rhs([x + dt * k for x, k in zip(state, k3)])
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise IntegrationError(f"evaluation failed ({exc})", t, state) from exc
-        state = [
-            x + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-            for x, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ]
-        if not all(math.isfinite(v) for v in state):
-            raise IntegrationError("state became non-finite", t + dt, state)
-        samples.append(list(state))
+    # numpy functions raise on a domain error or overflow, as Python arithmetic does
+    with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+        for m in range(steps):
+            t = t0 + m * dt
+            try:
+                k1 = rhs(state)
+                k2 = rhs([x + 0.5 * dt * k for x, k in zip(state, k1)])
+                k3 = rhs([x + 0.5 * dt * k for x, k in zip(state, k2)])
+                k4 = rhs([x + dt * k for x, k in zip(state, k3)])
+                state = [
+                    x + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                    for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+                ]
+            except ArithmeticError as exc:
+                raise IntegrationError(f"evaluation failed ({exc})", t, state) from exc
+            if not all(math.isfinite(v) for v in state):
+                raise IntegrationError("state became non-finite", t + dt, state)
+            samples.append(list(state))
     return Trajectory(t0=t0, dt=dt, samples=np.array(samples))
 
 
@@ -226,7 +228,7 @@ def geodesic_check(
     cols = [mid[:, j] for j in range(s.n)] + [vel[:, j] for j in range(s.n)]
     residual = np.empty_like(mid)
     for i, accel in enumerate(second_order_prolongation(s)):
-        fn = compile_expr(simplify(substitute(accel, s.params)), args, backend="numpy")
+        fn = compile_expr(simplify(substitute(accel, s.params)), args)
         residual[:, i] = 2.0 * (fn(*cols) - acc[:, i])
 
     norms = np.linalg.norm(residual, axis=1)

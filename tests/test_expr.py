@@ -1,10 +1,13 @@
+import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_expression
+from conftest import random_expression, random_rational_field
 from jetgeo.expr import (
     Add,
     Div,
@@ -23,10 +26,13 @@ from jetgeo.expr import (
     numerically_equivalent,
     parse_expression,
     sample_deviation,
+    sample_points,
     simplify,
     substitute,
     to_string,
 )
+from jetgeo.geometry import derive
+from jetgeo.models import cancer_model
 
 BOX4 = {name: (0.1, 3.0) for name in ("P", "Q", "h", "k")}
 
@@ -328,6 +334,67 @@ def test_equivalence_rejects_mostly_singular_box():
         sample_deviation(e, e, {"x": (0.1, 1.0)})
 
 
+def _reference_points(probes, domain, samples, seed, fixed=None):
+    """sample_points as a point-by-point loop on the interpreter."""
+    rng = random.Random(seed)
+    names = sorted(domain)
+    rows, draws = [], 0
+    while len(rows) < samples:
+        if draws >= 10 * samples:
+            raise EvaluationError(f"more than 90% of {draws} sample draws hit singularities")
+        draws += 1
+        point = dict(fixed or {})
+        point.update({name: rng.uniform(*domain[name]) for name in names})
+        try:
+            values = [evaluate(p, point) for p in probes]
+        except EvaluationError:
+            continue
+        if all(math.isfinite(v) for v in values):
+            rows.append(values)
+    return np.array(rows)
+
+
+def _field_probes(seed):
+    d = derive(random_rational_field(random.Random(seed), 4))
+    return [*d.jacobian, *(e for R in d.torsion for e in R)], {}
+
+
+def _cancer_probes():
+    s, _ = cancer_model(r=0.7, a=1.3, h=0.9, k=1.1)
+    d = derive(s)
+    return [*d.jacobian, *(e for R in d.torsion for e in R)], dict(s.params)
+
+
+@pytest.mark.parametrize(
+    "probes, fixed, domain",
+    [
+        ([parse_expression("1/(x - 0.5)"), parse_expression("(x - 0.5)^-3")], {}, {"x": (0.0, 1.0)}),
+        ([parse_expression("x"), parse_expression("sqrt(x - 0.5)")], {}, {"x": (0.0, 1.0)}),
+        (*_field_probes(5), {f"x{i}": (0.1, 2.0) for i in range(1, 5)}),
+        (*_cancer_probes(), {"P": (0.1, 5.0), "Q": (0.1, 5.0)}),
+    ],
+    ids=["pole", "half-rejected", "field-4d", "cancer-fixed-params"],
+)
+def test_sample_points_matches_interpreter_loop(probes, fixed, domain):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sample_points(probes, domain, 32, seed=4, fixed=fixed)
+    want = _reference_points(probes, domain, 32, seed=4, fixed=fixed)
+    assert got.shape == (32, len(probes))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sample_points_rejects_a_probe_singular_at_every_draw():
+    e = parse_expression("x*(1/0)")
+    assert simplify(e) == e  # the constant division stays unfolded
+    with pytest.raises(EvaluationError, match="singular"):
+        _reference_points([e], {"x": (0.1, 1.0)}, 8, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="more than 90% of 80 sample draws hit singularities"):
+            sample_points([e], {"x": (0.1, 1.0)}, 8, seed=0)
+
+
 def test_equivalence_is_deterministic_in_seed():
     e1 = parse_expression("sin(x)*x + x^2")
     e2 = parse_expression("x^2 + x*sin(x)")
@@ -357,13 +424,17 @@ def test_compiled_function_matches_interpreter():
         assert fn(x, y) == pytest.approx(evaluate(e, {"x": x, "y": y}), rel=1e-14)
 
 
-def test_compiled_numpy_backend_broadcasts():
-    import numpy as np
-
+def test_compiled_function_broadcasts():
     e = parse_expression("x^2 + y^2")
-    fn = compile_expr(e, ("x", "y"), backend="numpy")
+    fn = compile_expr(e, ("x", "y"))
     xs = np.array([1.0, 2.0, 3.0])
     assert np.allclose(fn(xs, 1.0), xs**2 + 1.0)
+
+
+def test_compiled_negative_constant_keeps_its_sign_under_a_power():
+    e = Pow(Num(-1.5), 2) * Sym("x")
+    assert evaluate(e, {"x": 2.0}) == 4.5
+    assert compile_expr(e, ("x",))(2.0) == 4.5
 
 
 def test_compile_rejects_unlisted_symbols():

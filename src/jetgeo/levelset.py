@@ -173,20 +173,33 @@ def cancer_zero_curve(
 # ---------------------------------------------------------------------------
 # marching squares
 
+#: cell sides, numbered as the columns of `sides` in `marching_squares`
+BOTTOM, RIGHT, TOP, LEFT = range(4)
+#: segments of each cell case (bit 0 for the corner (ix, iy), then counter-
+#: clockwise) as pairs of sides; a saddle (5, 10) whose centre is inside the
+#: level set joins the other pair of opposite corners and has 16 added
 _SEGMENTS = {
-    1: (("left", "bottom"),),
-    2: (("bottom", "right"),),
-    3: (("left", "right"),),
-    4: (("right", "top"),),
-    6: (("bottom", "top"),),
-    7: (("left", "top"),),
-    8: (("top", "left"),),
-    9: (("bottom", "top"),),
-    11: (("right", "top"),),
-    12: (("left", "right"),),
-    13: (("bottom", "right"),),
-    14: (("left", "bottom"),),
+    1: ((LEFT, BOTTOM),),
+    2: ((BOTTOM, RIGHT),),
+    3: ((LEFT, RIGHT),),
+    4: ((RIGHT, TOP),),
+    5: ((BOTTOM, LEFT), (TOP, RIGHT)),
+    6: ((BOTTOM, TOP),),
+    7: ((LEFT, TOP),),
+    8: ((TOP, LEFT),),
+    9: ((BOTTOM, TOP),),
+    10: ((BOTTOM, RIGHT), (TOP, LEFT)),
+    11: ((RIGHT, TOP),),
+    12: ((LEFT, RIGHT),),
+    13: ((BOTTOM, RIGHT),),
+    14: ((LEFT, BOTTOM),),
+    21: ((BOTTOM, RIGHT), (TOP, LEFT)),
+    26: ((BOTTOM, LEFT), (TOP, RIGHT)),
 }
+#: the sides of _SEGMENTS[case] in a row of 4, padded with -1
+_ENDS = np.full((32, 4), -1)
+for _case, _pairs in _SEGMENTS.items():
+    _ENDS[_case, : 2 * len(_pairs)] = np.ravel(_pairs)
 
 
 def marching_squares(
@@ -200,120 +213,105 @@ def marching_squares(
 
     Crossing points are linearly interpolated along cell edges. Saddle cells
     are disambiguated by the cell-center value (given, or the corner mean).
+    Every cell's case, every edge crossing and the segments of every crossed
+    cell are computed with numpy; Python loops only over the segments as it
+    joins them, so its work grows with the number of crossed cells, not with
+    the number of cells. A non-finite node or centre value, or centre values
+    of a shape other than (len(xs) - 1, len(ys) - 1), is a ValueError.
     Output is deterministic for fixed inputs.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     values = np.asarray(values, dtype=float)
-    if values.shape != (xs.size, ys.size):
+    nx, ny = xs.size, ys.size
+    if values.shape != (nx, ny):
         raise ValueError("values must have shape (len(xs), len(ys))")
-    if xs.size < 2 or ys.size < 2:
+    if nx < 2 or ny < 2:
         raise ValueError("need at least a 2x2 grid")
-    inside = values < level
-
-    # one interpolated crossing per grid edge, shared by both adjacent cells
-    crossings: dict[tuple, tuple[float, float]] = {}
-
-    def crossing(kind: str, ix: int, iy: int) -> tuple:
-        key = (kind, ix, iy)
-        if key not in crossings:
-            if kind == "h":
-                f0, f1 = values[ix, iy], values[ix + 1, iy]
-                t = (level - f0) / (f1 - f0)
-                crossings[key] = (xs[ix] + t * (xs[ix + 1] - xs[ix]), ys[iy])
-            else:
-                f0, f1 = values[ix, iy], values[ix, iy + 1]
-                t = (level - f0) / (f1 - f0)
-                crossings[key] = (xs[ix], ys[iy] + t * (ys[iy + 1] - ys[iy]))
-        return key
-
-    segments: list[tuple[tuple, tuple]] = []
-    for ix in range(xs.size - 1):
-        for iy in range(ys.size - 1):
-            case = (
-                int(inside[ix, iy])
-                | int(inside[ix + 1, iy]) << 1
-                | int(inside[ix + 1, iy + 1]) << 2
-                | int(inside[ix, iy + 1]) << 3
+    located = [("values", values, xs, ys, "nodes")]
+    if center_values is not None:
+        center_values = np.asarray(center_values, dtype=float)
+        if center_values.shape != (nx - 1, ny - 1):
+            raise ValueError(f"center_values must have shape {(nx - 1, ny - 1)}, got {center_values.shape}")
+        centres = (xs[:-1] + xs[1:]) / 2, (ys[:-1] + ys[1:]) / 2
+        located.append(("center_values", center_values, *centres, "cells"))
+    for name, array, px, py, what in located:
+        bad = np.flatnonzero(~np.isfinite(array))
+        if bad.size:
+            i, j = divmod(int(bad[0]), array.shape[1])
+            raise ValueError(
+                f"{name} is non-finite at {bad.size} of {array.size} {what}, "
+                f"first at (x, y) = ({px[i]:.6g}, {py[j]:.6g})"
             )
-            if case in (0, 15):
-                continue
-            if case in (5, 10):
-                if center_values is not None:
-                    center = float(center_values[ix, iy])
-                else:
-                    center = float(
-                        values[ix, iy]
-                        + values[ix + 1, iy]
-                        + values[ix + 1, iy + 1]
-                        + values[ix, iy + 1]
-                    ) / 4.0
-                connected = center < level
-                if case == 5:
-                    pairs = (
-                        (("bottom", "right"), ("top", "left"))
-                        if connected
-                        else (("bottom", "left"), ("top", "right"))
-                    )
-                else:
-                    pairs = (
-                        (("bottom", "left"), ("top", "right"))
-                        if connected
-                        else (("bottom", "right"), ("top", "left"))
-                    )
-            else:
-                pairs = _SEGMENTS[case]
-            edge_keys = {
-                "bottom": ("h", ix, iy),
-                "top": ("h", ix, iy + 1),
-                "left": ("v", ix, iy),
-                "right": ("v", ix + 1, iy),
-            }
-            for e1, e2 in pairs:
-                k1 = crossing(*edge_keys[e1])
-                k2 = crossing(*edge_keys[e2])
-                segments.append((k1, k2))
 
-    return _assemble(segments, crossings)
+    # flat indices throughout: node (ix, iy) is ix*ny + iy, cell (ix, iy) is ix*(ny-1) + iy
+    f = values.ravel()
+    inside = (values < level).astype(np.uint8)
+    cases = (inside[:-1, :-1] | inside[1:, :-1] << 1 | inside[1:, 1:] << 2 | inside[:-1, 1:] << 3).ravel()
+    saddles = np.flatnonzero((cases == 5) | (cases == 10))
+    if center_values is None:
+        k = saddles + saddles // (ny - 1)
+        center = (f[k] + f[k + ny] + f[k + ny + 1] + f[k + 1]) / 4.0
+    else:
+        center = center_values.ravel()[saddles]
+    cases[saddles] += np.uint8(16) * (center < level)
+
+    # one crossing per bracketing edge, shared by both adjacent cells: first
+    # the horizontal edges (ix, iy)-(ix+1, iy), whose id is the flat index
+    # ix*ny + iy of their first node, then the vertical edges (ix, iy)-(ix, iy+1)
+    # with id nh + ix*(ny-1) + iy; each in increasing id, so a crossing's
+    # index orders it by edge id
+    h = np.flatnonzero(inside[:-1, :] != inside[1:, :])
+    v = np.flatnonzero(inside[:, :-1] != inside[:, 1:])
+    hi, hj = np.divmod(h, ny)
+    vi, vj = np.divmod(v, ny - 1)
+    vn = v + vi
+    th = (level - f[h]) / (f[h + ny] - f[h])
+    tv = (level - f[vn]) / (f[vn + 1] - f[vn])
+    points = list(zip(
+        np.concatenate([xs[hi] + th * (xs[hi + 1] - xs[hi]), xs[vi]]).tolist(),
+        np.concatenate([ys[hj], ys[vj] + tv * (ys[vj + 1] - ys[vj])]).tolist(),
+    ))
+    nh = (nx - 1) * ny
+    edge_ids = np.concatenate([h, nh + v])
+
+    # the crossed cells in (ix, iy) order and the crossing index of each side;
+    # a side the level does not cross gets an index its case never reads
+    c = np.flatnonzero((cases != 0) & (cases != 15))
+    bottom, left = c + c // (ny - 1), nh + c
+    sides = np.searchsorted(edge_ids, np.stack([bottom, left + ny - 1, bottom + 1, left], axis=1))
+    picks = _ENDS[cases[c]]
+    return _assemble(np.take_along_axis(sides, picks, axis=1)[picks >= 0], points)
 
 
-def _assemble(
-    segments: list[tuple[tuple, tuple]],
-    crossings: dict[tuple, tuple[float, float]],
-) -> list[list[tuple[float, float]]]:
-    """Join segments sharing edge crossings into polylines, open curves first."""
-    adjacency: dict[tuple, list[int]] = {}
-    for idx, (k1, k2) in enumerate(segments):
-        adjacency.setdefault(k1, []).append(idx)
-        adjacency.setdefault(k2, []).append(idx)
+def _assemble(ends: np.ndarray, points: list[tuple[float, float]]) -> list[list[tuple[float, float]]]:
+    """Join segments into polylines through their shared crossings.
 
-    used = [False] * len(segments)
+    Segment s runs from crossing ends[2s] to ends[2s+1]; every crossing ends
+    one segment (on the grid boundary) or two. Open curves come first, each
+    walked from its lowest-numbered free end; then closed curves, each from
+    the first end of its lowest-numbered segment.
+    """
+    # other[p]: the end that shares ends[p]'s crossing, else -1
+    order = np.argsort(ends)
+    shared = ends[order[1:]] == ends[order[:-1]]
+    other = np.full(ends.size, -1)
+    other[order[1:][shared]] = order[:-1][shared]
+    other[order[:-1][shared]] = order[1:][shared]
+    crossing, other = ends.tolist(), other.tolist()
+    used = [False] * (ends.size // 2)
 
-    def walk(start: tuple) -> list[tuple]:
-        path = [start]
-        node = start
-        while True:
-            nxt_idx = next(
-                (i for i in adjacency[node] if not used[i]),
-                None,
-            )
-            if nxt_idx is None:
-                return path
-            used[nxt_idx] = True
-            k1, k2 = segments[nxt_idx]
-            node = k2 if k1 == node else k1
-            path.append(node)
+    def walk(p: int) -> list[tuple[float, float]]:
+        path = [points[crossing[p]]]
+        while p >= 0 and not used[p >> 1]:
+            used[p >> 1] = True
+            p ^= 1
+            path.append(points[crossing[p]])
+            p = other[p]
+        return path
 
-    polylines = []
-    open_starts = sorted(key for key, idxs in adjacency.items() if len(idxs) == 1)
-    for start in open_starts:
-        if all(used[i] for i in adjacency[start]):
-            continue
-        polylines.append(walk(start))
-    for idx in range(len(segments)):
-        if not used[idx]:
-            polylines.append(walk(segments[idx][0]))
-    return [[crossings[key] for key in path] for path in polylines]
+    polylines = [walk(p) for p in order.tolist() if other[p] < 0 and not used[p >> 1]]
+    return polylines + [walk(2 * s) for s in range(len(used)) if not used[s]]
 
 
 def extract_contours(

@@ -1,9 +1,13 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jetgeo.levelset
+from jetgeo.cli import parse_system_file
 from jetgeo.expr import evaluate
 from jetgeo.geometry import derive
 from jetgeo.levelset import (
@@ -17,7 +21,7 @@ from jetgeo.levelset import (
     hiv_invariants,
     marching_squares,
 )
-from jetgeo.models import cancer_model, hiv_model
+from jetgeo.models import builtin_model, cancer_model, hiv_model
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +188,7 @@ def test_zero_curve_argument_validation():
 # marching squares
 
 
-def test_circle_contour_oracle():
-    grid = 256
+def _assert_one_unit_circle(grid):
     xs = np.linspace(-2.0, 2.0, grid + 1)
     ys = np.linspace(-2.0, 2.0, grid + 1)
     values = xs[:, None] ** 2 + ys[None, :] ** 2
@@ -200,6 +203,14 @@ def test_circle_contour_oracle():
     # a circle comes out as a single closed polyline
     assert len(polylines) == 1
     assert polylines[0][0] == polylines[0][-1]
+
+
+def test_circle_contour_oracle():
+    _assert_one_unit_circle(256)
+
+
+def test_circle_contour_oracle_at_grid_1024():
+    _assert_one_unit_circle(1024)
 
 
 def test_no_crossings_yields_no_polylines():
@@ -262,3 +273,231 @@ def test_extract_contours_validates_arguments():
     hiv, _ = hiv_model()
     with pytest.raises(ValueError, match="unbound"):
         extract_contours(hiv, ("T", "V"), {}, box, 1.0, 16)
+
+
+# ---------------------------------------------------------------------------
+# marching squares against a per-cell reference
+
+_REFERENCE_SEGMENTS = {
+    1: (("left", "bottom"),),
+    2: (("bottom", "right"),),
+    3: (("left", "right"),),
+    4: (("right", "top"),),
+    6: (("bottom", "top"),),
+    7: (("left", "top"),),
+    8: (("top", "left"),),
+    9: (("bottom", "top"),),
+    11: (("right", "top"),),
+    12: (("left", "right"),),
+    13: (("bottom", "right"),),
+    14: (("left", "bottom"),),
+}
+
+
+def _reference_marching_squares(xs, ys, values, level, center_values=None):
+    """Cell-by-cell marching squares: a Python loop over every cell, with
+    crossings keyed by ("h"|"v", ix, iy) and joined by a dict walk."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    values = np.asarray(values, dtype=float)
+    inside = values < level
+    crossings = {}
+
+    def crossing(kind, ix, iy):
+        key = (kind, ix, iy)
+        if key not in crossings:
+            if kind == "h":
+                f0, f1 = values[ix, iy], values[ix + 1, iy]
+                t = (level - f0) / (f1 - f0)
+                crossings[key] = (xs[ix] + t * (xs[ix + 1] - xs[ix]), ys[iy])
+            else:
+                f0, f1 = values[ix, iy], values[ix, iy + 1]
+                t = (level - f0) / (f1 - f0)
+                crossings[key] = (xs[ix], ys[iy] + t * (ys[iy + 1] - ys[iy]))
+        return key
+
+    segments = []
+    for ix in range(xs.size - 1):
+        for iy in range(ys.size - 1):
+            case = (
+                int(inside[ix, iy])
+                | int(inside[ix + 1, iy]) << 1
+                | int(inside[ix + 1, iy + 1]) << 2
+                | int(inside[ix, iy + 1]) << 3
+            )
+            if case in (0, 15):
+                continue
+            if case in (5, 10):
+                if center_values is not None:
+                    center = float(center_values[ix, iy])
+                else:
+                    center = float(
+                        values[ix, iy] + values[ix + 1, iy] + values[ix + 1, iy + 1] + values[ix, iy + 1]
+                    ) / 4.0
+                connected = center < level
+                if case == 5:
+                    pairs = (
+                        (("bottom", "right"), ("top", "left"))
+                        if connected
+                        else (("bottom", "left"), ("top", "right"))
+                    )
+                else:
+                    pairs = (
+                        (("bottom", "left"), ("top", "right"))
+                        if connected
+                        else (("bottom", "right"), ("top", "left"))
+                    )
+            else:
+                pairs = _REFERENCE_SEGMENTS[case]
+            edge_keys = {
+                "bottom": ("h", ix, iy),
+                "top": ("h", ix, iy + 1),
+                "left": ("v", ix, iy),
+                "right": ("v", ix + 1, iy),
+            }
+            for e1, e2 in pairs:
+                segments.append((crossing(*edge_keys[e1]), crossing(*edge_keys[e2])))
+
+    adjacency = {}
+    for idx, (k1, k2) in enumerate(segments):
+        adjacency.setdefault(k1, []).append(idx)
+        adjacency.setdefault(k2, []).append(idx)
+    used = [False] * len(segments)
+
+    def walk(start):
+        path = [start]
+        node = start
+        while True:
+            nxt_idx = next((i for i in adjacency[node] if not used[i]), None)
+            if nxt_idx is None:
+                return path
+            used[nxt_idx] = True
+            k1, k2 = segments[nxt_idx]
+            node = k2 if k1 == node else k1
+            path.append(node)
+
+    polylines = []
+    for start in sorted(key for key, idxs in adjacency.items() if len(idxs) == 1):
+        if not all(used[i] for i in adjacency[start]):
+            polylines.append(walk(start))
+    for idx in range(len(segments)):
+        if not used[idx]:
+            polylines.append(walk(segments[idx][0]))
+    return [[crossings[key] for key in path] for path in polylines]
+
+
+def _hexed(polylines):
+    return [[(float.hex(float(x)), float.hex(float(y))) for x, y in poly] for poly in polylines]
+
+
+def _cases(values, level):
+    inside = np.asarray(values) < level
+    return inside[:-1, :-1] | inside[1:, :-1] << 1 | inside[1:, 1:] << 2 | inside[:-1, 1:] << 3
+
+
+def _assert_matches_reference(xs, ys, values, level, center_values=None):
+    got = marching_squares(xs, ys, values, level, center_values)
+    want = _reference_marching_squares(xs, ys, values, level, center_values)
+    assert _hexed(got) == _hexed(want)
+    return got
+
+
+def test_marching_squares_matches_reference_on_random_grids():
+    rng = np.random.default_rng(11)
+    crossed = 0
+    for trial in range(120):
+        nx, ny = rng.integers(2, 24, size=2)
+        xs = np.sort(rng.uniform(-3.0, 3.0, nx)) + np.arange(nx) * 1e-3
+        ys = np.linspace(rng.uniform(-2.0, 0.0), rng.uniform(0.5, 2.0), ny)
+        if trial % 2:
+            # integer values at an integer level: nodes on the level, many saddles
+            values = rng.integers(-2, 3, size=(nx, ny)).astype(float)
+            level = float(rng.integers(-1, 2))
+        else:
+            values = rng.normal(size=(nx, ny))
+            level = float(rng.normal(scale=0.5))
+        centers = rng.normal(size=(nx - 1, ny - 1)) if trial % 3 == 0 else None
+        crossed += len(_assert_matches_reference(xs, ys, values, level, centers))
+    assert crossed > 100
+
+
+@pytest.mark.parametrize("with_centers", [False, True])
+def test_marching_squares_matches_reference_on_saddles(with_centers):
+    n = 9
+    xs = np.linspace(0.0, 1.0, n)
+    ys = np.linspace(0.0, 2.0, n)
+    rng = np.random.default_rng(3)
+    # checkerboard: every cell is a saddle, cases 5 and 10 alternate
+    values = np.where(np.add.outer(np.arange(n), np.arange(n)) % 2, 1.0, -1.0) * rng.uniform(0.5, 1.5, (n, n))
+    cases = _cases(values, 0.0)
+    assert {5, 10} <= set(np.unique(cases).tolist())
+    centers = rng.normal(size=(n - 1, n - 1)) if with_centers else None
+    _assert_matches_reference(xs, ys, values, 0.0, centers)
+
+
+def test_marching_squares_matches_reference_with_nodes_on_the_level():
+    xs = np.linspace(0.0, 1.0, 6)
+    ys = np.linspace(0.0, 1.0, 5)
+    values = np.add.outer(np.arange(6.0), -np.arange(5.0))
+    assert np.any(values == 1.0)
+    for level in (-2.0, 0.0, 1.0, 3.0):
+        _assert_matches_reference(xs, ys, values, level)
+    # a closed curve through nodes exactly on the level
+    grid = np.linspace(-2.0, 2.0, 9)
+    _assert_matches_reference(grid, grid, grid[:, None] ** 2 + grid[None, :] ** 2, 1.0)
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_extract_contours_matches_reference_on_bench_slices(monkeypatch):
+    W = _bench_workloads()
+    calls = []
+
+    def recording(*args):
+        result = marching_squares(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(jetgeo.levelset, "marching_squares", recording)
+    for op in W.contour_ops(0) + W.dense_ops(0):
+        if op["model"] == "trig":
+            system = parse_system_file(op["text"])
+        else:
+            system = builtin_model(op["model"], **op["params"])[0]
+        box = tuple(tuple(b) for b in op["box"])
+        extract_contours(system, tuple(op["axes"]), op["fixed"], box, op["level"], 64)
+    assert len(calls) == 14
+    for args, result in calls:
+        assert result
+        assert _hexed(result) == _hexed(_reference_marching_squares(*args))
+
+
+def test_marching_squares_rejects_center_values_of_the_wrong_shape():
+    xs = ys = np.array([0.0, 1.0])
+    values = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    for shape in ((5, 5), (0, 0)):
+        with pytest.raises(ValueError, match=r"center_values must have shape \(1, 1\)"):
+            marching_squares(xs, ys, values, 0.0, center_values=np.zeros(shape))
+
+
+def test_marching_squares_rejects_non_finite_values():
+    xs = np.linspace(0.0, 1.0, 4)
+    ys = np.linspace(0.0, 2.0, 5)
+    values = np.add.outer(xs, ys)
+    bad = values.copy()
+    bad[2, 3] = np.nan
+    bad[3, 1] = np.inf
+    message = r"values is non-finite at 2 of 20 nodes, first at \(x, y\) = \(0.666667, 1.5\)"
+    with pytest.raises(ValueError, match=message):
+        marching_squares(xs, ys, bad, 1.0)
+    centers = np.zeros((3, 4))
+    centers[1, 0] = -np.inf
+    message = r"center_values is non-finite at 1 of 12 cells, first at \(x, y\) = \(0.5, 0.25\)"
+    with pytest.raises(ValueError, match=message):
+        marching_squares(xs, ys, values, 1.0, center_values=centers)

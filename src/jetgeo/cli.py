@@ -197,17 +197,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
+def _write_output(body: str, out: str | None, what: str, size: str) -> None:
+    """Write `body` to the file `out` and print a summary line, or else write
+    `body` to stdout."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(body)
+        print(f"{what} -> {out} ({size})")
+    else:
+        sys.stdout.write(body)
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     system, _, label = _load_system(args)
     x0 = [float(v) for v in args.x0.split(",")]
     traj = integrate_flow(system, x0, args.t, args.dt)
     csv = traj.to_csv(system.state_names)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv)
-        print(f"trace: {label} -> {args.out} ({traj.samples.shape[0]} samples)")
-    else:
-        sys.stdout.write(csv)
+    _write_output(csv, args.out, f"trace: {label}", f"{traj.samples.shape[0]} samples")
     if args.check_geodesic:
         record = geodesic_check(system, traj)
         print(record.status_line())
@@ -257,12 +263,7 @@ def _levelset_zero_curve(args: argparse.Namespace) -> int:
     curve = cancer_zero_curve(args.a, args.h, args.k, p_values)
     lines = ["P,Q"] + [f"{p:.17g},{q:.17g}" for p, q in curve.samples]
     body = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-        print(f"zero-energy curve -> {args.out} ({len(curve.samples)} samples)")
-    else:
-        sys.stdout.write(body)
+    _write_output(body, args.out, "zero-energy curve", f"{len(curve.samples)} samples")
     if curve.poles:
         print("poles excluded at P = " + ", ".join(_fmt(p) for p in curve.poles))
     return 0
@@ -291,15 +292,8 @@ def _levelset_contours(args: argparse.Namespace) -> int:
         for u, v in polyline:
             lines.append(f"{pid},{u:.17g},{v:.17g}")
     body = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-        print(
-            f"contours of {label} at level {_fmt(args.level)} -> {args.out} "
-            f"({len(result.polylines)} polylines)"
-        )
-    else:
-        sys.stdout.write(body)
+    what = f"contours of {label} at level {_fmt(args.level)}"
+    _write_output(body, args.out, what, f"{len(result.polylines)} polylines")
     return 0
 
 

@@ -670,20 +670,31 @@ def _emit(e: Expr, names: Mapping[str, str]) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_expr(e: Expr, args: Sequence[str]) -> Callable[..., float]:
-    """Compile to a positional-argument lambda: the one runtime evaluator.
+def compile_expr(
+    exprs: Sequence[Expr],
+    args: Sequence[str],
+    fixed: Bindings | None = None,
+) -> Callable[..., tuple]:
+    """Compile a family of expressions to one positional-argument lambda that
+    returns a tuple, one value per expression, in order: the one runtime
+    evaluator.
 
-    Functions come from numpy, so array arguments evaluate a whole batch of
-    points in one call and follow numpy's error state; Python float operands
-    raise ZeroDivisionError or OverflowError as Python does. `evaluate` is
-    the reference interpreter for the tests. Symbols map to positional slots.
+    With `fixed`, each expression is first bound and simplified,
+    `simplify(substitute(e, fixed))`, so the bound constants fold; without
+    it, the expressions are emitted as given. Functions come from numpy, so
+    array arguments evaluate a whole batch of points in one call and follow
+    numpy's error state; Python float operands raise ZeroDivisionError or
+    OverflowError as Python does. `evaluate` is the reference interpreter
+    for the tests. Symbols map to positional slots.
     """
+    if fixed is not None:
+        exprs = [simplify(substitute(e, fixed)) for e in exprs]
     names = {name: f"_a{i}" for i, name in enumerate(args)}
     try:
-        body = _emit(e, names)
+        body = "".join(f"{_emit(e, names)}, " for e in exprs)
     except KeyError as exc:
         raise ValueError(f"expression uses a symbol not in argument list: {exc}") from None
-    source = f"lambda {', '.join(names[a] for a in args)}: {body}"
+    source = f"lambda {', '.join(names[a] for a in args)}: ({body})"
     return eval(source, {"_lib": np})  # noqa: S307 - source is generated, not user input
 
 
@@ -710,8 +721,9 @@ def sample_points(
     """Seeded uniform draws from the box; row m holds every probe at draw m.
 
     Every draw binds `fixed` first and then each box symbol, in sorted order.
-    Each probe is compiled once and evaluated on batches of draws as large as
-    the shortfall, so the accepted draws are those of a point-by-point loop.
+    The probes are compiled once, into one function with `fixed` bound, and
+    evaluated on batches of draws as large as the shortfall, so the accepted
+    draws are those of a point-by-point loop.
     Draws where a probe is singular or non-finite are redrawn; if more than
     90% of draws are rejected the box is unusable and an EvaluationError is
     raised rather than guessing.
@@ -725,7 +737,9 @@ def sample_points(
             raise ValueError(f"degenerate interval for '{name}': [{lo}, {hi}]")
     rng = random.Random(seed)
     names = sorted(domain)
-    funcs = [compile_expr(p, (*names, *consts)) for p in probes]
+    # without constants the probes compile as written, so a comparison of
+    # two forms of one expression is not simplified away
+    fn = compile_expr(probes, names, consts or None)
     chunks = [np.empty((0, len(probes)))]
     accepted = draws = 0
     limit = 10 * samples
@@ -741,8 +755,8 @@ def sample_points(
         values = np.empty((batch, len(probes)))
         with np.errstate(all="ignore"):
             try:
-                for i, fn in enumerate(funcs):
-                    values[:, i] = fn(*cols, *consts.values())
+                for i, value in enumerate(fn(*cols)):
+                    values[:, i] = value
             except (ZeroDivisionError, OverflowError):
                 values[:] = np.nan  # a constant subtree is singular at every draw
         chunks.append(values[np.isfinite(values).all(axis=1)])

@@ -77,13 +77,6 @@ class ExprMatrix:
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Expr]]) -> "ExprMatrix":
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), ncols, tuple(e for row in rows for e in row))
-
     def entry(self, i: int, j: int) -> Expr:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"index ({i}, {j}) out of range")
@@ -91,13 +84,6 @@ class ExprMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> Expr:
         return self.entry(*ij)
-
-    def transpose(self) -> "ExprMatrix":
-        return ExprMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def map(self, fn: Callable[[Expr], Expr]) -> "ExprMatrix":
         return ExprMatrix(self.rows, self.cols, tuple(fn(e) for e in self.entries))

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .expr import EvaluationError, compile_expr, simplify, substitute
+from .expr import EvaluationError, compile_expr
 from .geometry import OdeSystem, electromagnetic_form, jacobian, nonlinear_connection, yang_mills_energy
 from .models import require_positive
 
@@ -347,23 +347,26 @@ def extract_contours(
     energy = yang_mills_energy(electromagnetic_form(nonlinear_connection(jacobian(s))))
     bindings = dict(s.params)
     bindings.update({name: float(fixed[name]) for name in remaining})
-    field = simplify(substitute(energy, bindings))
-    fn = compile_expr(field, (u, v))
+    fn = compile_expr([energy], (u, v), bindings)
 
     (ulo, uhi), (vlo, vhi) = box
     us = np.linspace(ulo, uhi, grid + 1)
     vs = np.linspace(vlo, vhi, grid + 1)
     uc, vc = 0.5 * (us[:-1] + us[1:]), 0.5 * (vs[:-1] + vs[1:])
-    grids, bad = [], []
+    grids, count, first = [], 0, None
     with np.errstate(all="ignore"):
         for a, b in ((us, vs), (uc, vc)):
-            f = np.broadcast_to(np.asarray(fn(a[:, None], b[None, :]), dtype=float), (a.size, b.size))
-            bad += [(a[i], b[j]) for i, j in np.argwhere(~np.isfinite(f))]
+            (f,) = fn(a[:, None], b[None, :])
+            f = np.broadcast_to(np.asarray(f, dtype=float), (a.size, b.size))
+            bad = np.flatnonzero(~np.isfinite(f))
+            if bad.size and first is None:
+                first = (a[bad[0] // b.size], b[bad[0] % b.size])
+            count += bad.size
             grids.append(f)
-    if bad:
+    if count:
         raise EvaluationError(
-            f"energy is non-finite at {len(bad)} grid nodes and cell centres, "
-            f"first at {u}={bad[0][0]:.6g}, {v}={bad[0][1]:.6g}"
+            f"energy is non-finite at {count} grid nodes and cell centres, "
+            f"first at {u}={first[0]:.6g}, {v}={first[1]:.6g}"
         )
     values, centers = grids
     polylines = marching_squares(us, vs, values, level, centers)

@@ -10,7 +10,7 @@ single point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .expr import Box, Expr, differentiate, parse_expression, sample_deviation
@@ -43,11 +43,7 @@ class GoldenSet:
     """
 
     entries: Mapping[str, Expr]
-    auxiliary: Mapping[str, tuple[Expr, Expr]] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.auxiliary is None:
-            object.__setattr__(self, "auxiliary", {})
+    auxiliary: Mapping[str, tuple[Expr, Expr]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .expr import (
     differentiate,
     evaluate,
     simplify,
-    substitute,
 )
 from .geometry import OdeSystem, VerificationRecord, jacobian
 
@@ -168,14 +167,7 @@ def integrate_flow(
     if len(x0) != s.n:
         raise ValueError(f"initial state must have length {s.n}")
     steps = int(round(t_end / dt))
-    funcs = [
-        compile_expr(simplify(substitute(comp, s.params)), s.state_names)
-        for comp in s.components
-    ]
-
-    def rhs(state: list[float]) -> list[float]:
-        return [f(*state) for f in funcs]
-
+    rhs = compile_expr(s.components, s.state_names, s.params)
     state = [float(v) for v in x0]
     samples = [list(state)]
     # numpy functions raise on a domain error or overflow, as Python arithmetic does
@@ -183,10 +175,10 @@ def integrate_flow(
         for m in range(steps):
             t = t0 + m * dt
             try:
-                k1 = rhs(state)
-                k2 = rhs([x + 0.5 * dt * k for x, k in zip(state, k1)])
-                k3 = rhs([x + 0.5 * dt * k for x, k in zip(state, k2)])
-                k4 = rhs([x + dt * k for x, k in zip(state, k3)])
+                k1 = rhs(*state)
+                k2 = rhs(*[x + 0.5 * dt * k for x, k in zip(state, k1)])
+                k3 = rhs(*[x + 0.5 * dt * k for x, k in zip(state, k2)])
+                k4 = rhs(*[x + dt * k for x, k in zip(state, k3)])
                 state = [
                     x + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                     for x, a, b, c, d in zip(state, k1, k2, k3, k4)
@@ -208,8 +200,9 @@ def geodesic_check(
     approximated by central differences at interior samples.
 
     The residual of L equals 2 (P(x, x') - x''), P the second-order
-    prolongation, so only the n entries of P are compiled; nothing is
-    differentiated beyond J. `euler_lagrange_residual` is the reference.
+    prolongation, so only the n entries of P are compiled, into one function;
+    nothing is differentiated beyond J. `euler_lagrange_residual` is the
+    reference.
 
     Default tolerance is 1e-4 * (1 + max state norm), matching the O(dt^2)
     discretization error of the central differences at dt = 1e-3.
@@ -226,10 +219,10 @@ def geodesic_check(
 
     args = list(s.state_names) + list(velocity_names(s))
     cols = [mid[:, j] for j in range(s.n)] + [vel[:, j] for j in range(s.n)]
-    residual = np.empty_like(mid)
-    for i, accel in enumerate(second_order_prolongation(s)):
-        fn = compile_expr(simplify(substitute(accel, s.params)), args)
-        residual[:, i] = 2.0 * (fn(*cols) - acc[:, i])
+    prolongation = compile_expr(second_order_prolongation(s), args, s.params)
+    # a constant entry comes back as a float; broadcast it to a column
+    P = np.broadcast_arrays(mid[:, 0], *prolongation(*cols))[1:]
+    residual = 2.0 * (np.column_stack(P) - acc)
 
     norms = np.linalg.norm(residual, axis=1)
     worst_idx = int(np.argmax(norms))

@@ -233,6 +233,18 @@ def test_levelset_contours_reject_a_pole_in_the_box(tmp_path, capsys):
     )
 
 
+def test_levelset_contours_reject_a_pole_at_cell_centres_only(tmp_path, capsys):
+    path = tmp_path / "pole.txt"
+    path.write_text("vars: x y\neq x: y/(x - 0.125)\neq y: x\n")
+    args = ["levelset", "--file", str(path), "--level", "1", "--axes", "x,y", "--box", "0:2,0:2", "--grid", "8"]
+    assert run_command(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: energy is non-finite at 8 grid nodes and cell centres, first at x=0.125, y=0.125\n"
+    )
+
+
 def test_levelset_rerun_is_byte_identical(capsys):
     args = ["levelset", "--model", "hiv1", "--C", "0.25"]
     run_command(args)

@@ -31,7 +31,9 @@ from jetgeo.expr import (
     substitute,
     to_string,
 )
-from jetgeo.geometry import derive
+from jetgeo import expr as expr_module
+from jetgeo import levelset, variational
+from jetgeo.geometry import analyze, derive
 from jetgeo.models import cancer_model
 
 BOX4 = {name: (0.1, 3.0) for name in ("P", "Q", "h", "k")}
@@ -417,26 +419,59 @@ def test_substitute_parameters():
 
 def test_compiled_function_matches_interpreter():
     e = parse_expression("x*y/(1+x^2) + sin(y)")
-    fn = compile_expr(e, ("x", "y"))
+    g = parse_expression("a*x - b^2*cos(y) + x/a")
+    params = {"a": 1.5, "b": -0.5}
+    fn = compile_expr([e, Num(2.0)], ("x", "y"))
+    bound = compile_expr([g], ("x", "y"), params)
     rng = random.Random(3)
     for _ in range(25):
         x, y = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
-        assert fn(x, y) == pytest.approx(evaluate(e, {"x": x, "y": y}), rel=1e-14)
+        value, constant = fn(x, y)
+        assert value == pytest.approx(evaluate(e, {"x": x, "y": y}), rel=1e-14)
+        assert constant == 2.0
+        (bound_value,) = bound(x, y)
+        assert bound_value == pytest.approx(evaluate(g, {"x": x, "y": y, **params}), rel=1e-14)
+    assert compile_expr([], ("x",))(1.0) == ()
 
 
 def test_compiled_function_broadcasts():
     e = parse_expression("x^2 + y^2")
-    fn = compile_expr(e, ("x", "y"))
+    fn = compile_expr([e], ("x", "y"))
     xs = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(fn(xs, 1.0), xs**2 + 1.0)
+    (value,) = fn(xs, 1.0)
+    assert np.allclose(value, xs**2 + 1.0)
 
 
 def test_compiled_negative_constant_keeps_its_sign_under_a_power():
     e = Pow(Num(-1.5), 2) * Sym("x")
     assert evaluate(e, {"x": 2.0}) == 4.5
-    assert compile_expr(e, ("x",))(2.0) == 4.5
+    assert compile_expr([e], ("x",))(2.0) == (4.5,)
 
 
 def test_compile_rejects_unlisted_symbols():
     with pytest.raises(ValueError, match="argument list"):
-        compile_expr(parse_expression("x+y"), ("x",))
+        compile_expr([parse_expression("x+y")], ("x",))
+    assert compile_expr([parse_expression("x+y")], ("x",), {"y": 1.0})(2.0) == (3.0,)
+
+
+def test_each_consumer_compiles_once_per_family(monkeypatch):
+    sizes = []
+
+    def counting(exprs, *args, **kwargs):
+        sizes.append(len(exprs))
+        return compile_expr(exprs, *args, **kwargs)
+
+    for module in (expr_module, variational, levelset):
+        monkeypatch.setattr(module, "compile_expr", counting)
+    s, _ = cancer_model(r=0.7, a=1.3, h=0.9, k=1.1)
+    analyze(s)
+    assert sizes == [8]  # the n^3 torsion entries
+    sizes.clear()
+    traj = variational.integrate_flow(s, (1.0, 1.0), 0.1, 1e-2)
+    assert sizes == [2]  # the field components
+    sizes.clear()
+    variational.geodesic_check(s, traj)
+    assert sizes == [2]  # the prolongation
+    sizes.clear()
+    levelset.extract_contours(s, ("P", "Q"), {}, ((0.1, 3.0), (0.1, 3.0)), 0.2, 16)
+    assert sizes == [1]  # the energy

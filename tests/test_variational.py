@@ -302,6 +302,28 @@ def test_geodesic_check_matches_lagrangian_residual(cancer):
         assert float(np.linalg.norm(res)) == pytest.approx(record.max_deviation, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "components, x0",
+    [(("2", "-3"), (1.0, 1.0)), (("x", "1"), (1.0, 0.0))],
+    ids=["both-entries-constant", "P-is-x-and-0"],
+)
+def test_geodesic_check_broadcasts_constant_prolongation_entries(components, x0):
+    s = OdeSystem.from_strings(("x", "y"), components)
+    traj = integrate_flow(s, x0, 1.0, 1e-3)
+    record = geodesic_check(s, traj)
+    assert record.passed, record
+    x, dt = traj.samples, traj.dt
+    vel = (x[2:] - x[:-2]) / (2.0 * dt)
+    acc = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / (dt * dt)
+    names = (*s.state_names, *velocity_names(s))
+    prol = second_order_prolongation(s)
+    worst = max(
+        math.hypot(*(2.0 * (evaluate(p, dict(zip(names, (*xm, *vm)))) - am) for p, am in zip(prol, a)))
+        for xm, vm, a in zip(x[1:-1], vel, acc)
+    )
+    assert record.max_deviation == pytest.approx(worst, rel=1e-12, abs=1e-300)
+
+
 def test_geodesic_check_detects_corrupted_sample(cancer):
     traj = integrate_flow(cancer, (1.0, 1.0), 2.0, 1e-3)
     corrupted = traj.samples.copy()

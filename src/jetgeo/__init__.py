@@ -41,8 +41,6 @@ from .levelset import (
     EllipticCylinder,
     EmptySet,
     Line,
-    RationalCurve,
-    cancer_zero_curve,
     classify_hiv_level_set,
     extract_contours,
     hiv_invariants,

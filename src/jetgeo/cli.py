@@ -4,7 +4,8 @@ Subcommands
     analyze   derived objects + identity verdicts for a system
     verify    golden regression (built-in models) and invariant suite
     trace     fixed-step integration, CSV export, optional geodesic check
-    levelset  closed-form classification, zero-energy curve, or contours
+    levelset  closed-form classification, or contours (level 0: the
+              zero-energy curve of a planar system)
 
 Systems come from --model cancer|hiv1 or from --file in the line format
 
@@ -31,7 +32,6 @@ from .levelset import (
     EllipticCylinder,
     EmptySet,
     Line,
-    cancer_zero_curve,
     classify_hiv_level_set,
     extract_contours,
     hiv_invariants,
@@ -222,13 +222,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_levelset(args: argparse.Namespace) -> int:
-    if args.zero_curve:
-        return _levelset_zero_curve(args)
     if args.C is not None:
         return _levelset_classify(args)
     if args.level is not None:
         return _levelset_contours(args)
-    raise SystemFileError("levelset needs one of --C, --zero-curve, or --level")
+    raise SystemFileError("levelset needs one of --C or --level")
 
 
 def _levelset_classify(args: argparse.Namespace) -> int:
@@ -251,21 +249,6 @@ def _levelset_classify(args: argparse.Namespace) -> int:
             f"a={_fmt(result.semi_axis_a)}, b={_fmt(result.semi_axis_b)}, "
             f"axis {result.axis}"
         )
-    return 0
-
-
-def _levelset_zero_curve(args: argparse.Namespace) -> int:
-    lo, hi, count = args.pmin, args.pmax, args.psamples
-    if count < 1:
-        raise SystemFileError("--psamples must be at least 1")
-    step = (hi - lo) / max(count - 1, 1)
-    p_values = [lo + i * step for i in range(count)]
-    curve = cancer_zero_curve(args.a, args.h, args.k, p_values)
-    lines = ["P,Q"] + [f"{p:.17g},{q:.17g}" for p, q in curve.samples]
-    body = "\n".join(lines) + "\n"
-    _write_output(body, args.out, "zero-energy curve", f"{len(curve.samples)} samples")
-    if curve.poles:
-        print("poles excluded at P = " + ", ".join(_fmt(p) for p in curve.poles))
     return 0
 
 
@@ -338,7 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--out", help="trajectory CSV path (default: stdout)")
     p_trace.set_defaults(func=_cmd_trace)
 
-    p_level = sub.add_parser("levelset", help="classification, zero curve, or contours")
+    # no prefix matching: the removed --a and --h would silently mean --axes and --help
+    p_level = sub.add_parser(
+        "levelset", help="classification, or contours (level 0: zero-energy curve)", allow_abbrev=False
+    )
     group = p_level.add_mutually_exclusive_group(required=False)
     group.add_argument("--model", choices=("cancer", "hiv1"))
     group.add_argument("--file")
@@ -346,13 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_level.add_argument("--k", type=float, default=1.0)
     p_level.add_argument("--n", type=float, default=1.0)
     p_level.add_argument("--delta", type=float, default=1.0)
-    p_level.add_argument("--zero-curve", action="store_true", help="sample the zero-energy curve")
-    p_level.add_argument("--a", type=float, default=1.0)
-    p_level.add_argument("--h", type=float, default=1.0)
-    p_level.add_argument("--pmin", type=float, default=0.025)
-    p_level.add_argument("--pmax", type=float, default=5.0)
-    p_level.add_argument("--psamples", type=int, default=200)
-    p_level.add_argument("--level", type=float, help="energy level for contour extraction")
+    p_level.add_argument(
+        "--level", type=float,
+        help="energy level for contour extraction; 0 traces N_12 = 0 (planar systems only)",
+    )
     p_level.add_argument("--axes", default=None, help="two states, e.g. P,Q")
     p_level.add_argument("--fixed", default=None, help="remaining states, e.g. V=1.0")
     p_level.add_argument("--box", default="0:5,0:5", help="sampling box lo1:hi1,lo2:hi2")
@@ -368,7 +351,7 @@ def run_command(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SystemFileError, ParseError, ValueError, ArithmeticError, OSError) as exc:
+    except (SystemFileError, ParseError, ValueError, ArithmeticError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

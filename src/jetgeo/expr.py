@@ -685,7 +685,8 @@ def compile_expr(
     array arguments evaluate a whole batch of points in one call and follow
     numpy's error state; Python float operands raise ZeroDivisionError or
     OverflowError as Python does. `evaluate` is the reference interpreter
-    for the tests. Symbols map to positional slots.
+    for the tests. Symbols map to positional slots. A tree too deep for
+    Python's parser or compiler is a ValueError.
     """
     if fixed is not None:
         exprs = [simplify(substitute(e, fixed)) for e in exprs]
@@ -695,7 +696,11 @@ def compile_expr(
     except KeyError as exc:
         raise ValueError(f"expression uses a symbol not in argument list: {exc}") from None
     source = f"lambda {', '.join(names[a] for a in args)}: ({body})"
-    return eval(source, {"_lib": np})  # noqa: S307 - source is generated, not user input
+    try:
+        return eval(source, {"_lib": np})  # noqa: S307 - source is generated, not user input
+    except (SyntaxError, RecursionError) as exc:
+        # CPython's parser nests at most 200 parentheses, and its compiler recurses
+        raise ValueError(f"expression nests too deeply to compile ({exc.args[0]})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -256,8 +256,8 @@ def yang_mills_energy(F: ExprMatrix) -> Expr:
 # numeric identity checks
 
 
-def default_domain(s: OdeSystem, lo: float = 0.1, hi: float = 2.0) -> dict[str, tuple[float, float]]:
-    return {name: (lo, hi) for name in s.state_names}
+def default_domain(s: OdeSystem) -> dict[str, tuple[float, float]]:
+    return {name: (0.1, 2.0) for name in s.state_names}
 
 
 def maxwell_check(
@@ -286,17 +286,11 @@ def maxwell_check(
     return VerificationRecord("maxwell", worst <= tol, worst, tol)
 
 
-def analyze(
-    s: OdeSystem,
-    domain: Box | None = None,
-    samples: int = 32,
-    seed: int = 0,
-) -> GeometryReport:
-    """Derive every object for one system and verify its identities."""
-    if domain is None:
-        domain = default_domain(s)
+def analyze(s: OdeSystem, samples: int = 32, seed: int = 0) -> GeometryReport:
+    """Derive every object for one system and verify its identities on the
+    default domain."""
     d = derive(s)
     return GeometryReport(
         **vars(d),
-        maxwell=maxwell_check(d, domain, samples=samples, seed=seed),
+        maxwell=maxwell_check(d, default_domain(s), samples=samples, seed=seed),
     )

@@ -3,16 +3,17 @@
 The HIV-1 energy surfaces {EYM = C} are classified in closed form through the
 invariants of the generating conic: below the critical level n^2 delta^2 / 8
 the set is empty, at it the surface degenerates to a line, above it the
-surface is a right elliptic cylinder. The tumor model's zero-energy locus is
-the graph of a rational function. Arbitrary systems get numeric contour
-extraction on 2-d slices via marching squares.
+surface is a right elliptic cylinder. Arbitrary systems get numeric contour
+extraction on 2-d slices via marching squares; at level 0 a planar system's
+contour is {N_12 = 0}, the zero-energy locus (for the tumor model, the graph
+of a rational function).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -24,13 +25,11 @@ __all__ = [
     "EmptySet",
     "Line",
     "EllipticCylinder",
-    "RationalCurve",
     "Contours",
     "LevelSetResult",
     "QuadricInvariants",
     "hiv_invariants",
     "classify_hiv_level_set",
-    "cancer_zero_curve",
     "marching_squares",
     "extract_contours",
 ]
@@ -72,14 +71,6 @@ class EllipticCylinder:
 
 
 @dataclass(frozen=True)
-class RationalCurve:
-    """Sampled graph of a rational function, with excluded pole locations."""
-
-    samples: tuple[tuple[float, float], ...]
-    poles: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
 class Contours:
     """Numerically extracted level curves on a 2-d slice."""
 
@@ -87,7 +78,7 @@ class Contours:
     polylines: tuple[tuple[tuple[float, float], ...], ...]
 
 
-LevelSetResult = Union[EmptySet, Line, EllipticCylinder, RationalCurve, Contours]
+LevelSetResult = Union[EmptySet, Line, EllipticCylinder]
 
 
 @dataclass(frozen=True)
@@ -112,23 +103,18 @@ def hiv_invariants(k: float, n: float, delta: float, C: float) -> QuadricInvaria
     )
 
 
-def classify_hiv_level_set(
-    k: float, n: float, delta: float, C: float, eps: float = DEGENERACY_EPS
-) -> LevelSetResult:
+def classify_hiv_level_set(k: float, n: float, delta: float, C: float) -> LevelSetResult:
     """Classify {EYM = C} for the HIV-1 flow.
 
     Below the critical level C* = n^2 delta^2 / 8 the set is empty; within a
-    relative eps band of C* it is the line T = n delta / (2k), V = 0 (Tstar
-    free); above it, a right elliptic cylinder around that line.
+    relative DEGENERACY_EPS band of C* it is the line T = n delta / (2k),
+    V = 0 (Tstar free); above it, a right elliptic cylinder around that line.
     """
-    require_positive(k=k, n=n, delta=delta)
-    if C < 0.0:
-        raise ValueError(f"level must be nonnegative, got {C}")
-    c_star = (n * delta) ** 2 / 8.0
+    c_star = hiv_invariants(k, n, delta, C).critical_level
     center = n * delta / (2.0 * k)
-    if C < c_star * (1.0 - eps):
+    if C < c_star * (1.0 - DEGENERACY_EPS):
         return EmptySet()
-    if C <= c_star * (1.0 + eps):
+    if C <= c_star * (1.0 + DEGENERACY_EPS):
         return Line(point=(center, 0.0, 0.0), direction=(0.0, 1.0, 0.0))
     spread = math.sqrt(8.0 * C - (n * delta) ** 2)
     return EllipticCylinder(
@@ -137,37 +123,6 @@ def classify_hiv_level_set(
         semi_axis_b=spread / (k * math.sqrt(2.0)),
         axis="Tstar",
     )
-
-
-def cancer_zero_curve(
-    a: float, h: float, k: float, P_samples: Sequence[float]
-) -> RationalCurve:
-    """Zero-energy locus of the tumor model as a sampled rational graph:
-
-        Q(P) = P (1 + k P^2) [h - (2a + 1)(1 + k P^2)]
-               / [a (1 + k P^2)^2 - h (1 - k P^2)]
-
-    P values where the denominator vanishes (relative to the magnitude of its
-    terms) are excluded and reported as poles.
-    """
-    require_positive(a=a, h=h, k=k)
-    if len(P_samples) == 0:
-        raise ValueError("empty P sample list")
-    samples = []
-    poles = []
-    for P in map(float, P_samples):
-        if not math.isfinite(P):
-            raise ValueError(f"non-finite sample {P}")
-        w = 1.0 + k * P * P
-        term_a = a * w * w
-        term_h = h * (1.0 - k * P * P)
-        den = term_a - term_h
-        if abs(den) <= 1e-12 * (1.0 + max(abs(term_a), abs(term_h))):
-            poles.append(P)
-            continue
-        num = P * w * (h - (2.0 * a + 1.0) * w)
-        samples.append((P, num / den))
-    return RationalCurve(tuple(samples), tuple(poles))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +283,11 @@ def extract_contours(
     in `fixed`. Grid resolution is the number of cells per side. A pole in
     the box is an error: if the energy is non-finite at any grid node or cell
     centre, an EvaluationError gives their count and the first location.
+
+    EYM >= 0 touches 0 without crossing it, so level 0 contours N_12 instead:
+    for n = 2, EYM = N_12^2 and N_12 changes sign across {EYM = 0}. With
+    n > 2 the zero set is the common zero set of n(n-1)/2 entries of N, and
+    level 0 is a ValueError.
     """
     u, v = axes
     if u == v:
@@ -343,11 +303,17 @@ def extract_contours(
         raise ValueError(f"grid resolution must be at least 8, got {grid}")
     if level < 0.0:
         raise ValueError(f"level must be nonnegative, got {level}")
+    if level == 0.0 and s.n != 2:
+        raise ValueError(
+            f"level 0 needs a planar system: with n={s.n} the zero-energy set is "
+            f"the common zero set of {s.n * (s.n - 1) // 2} entries of N"
+        )
 
-    energy = yang_mills_energy(electromagnetic_form(nonlinear_connection(jacobian(s))))
+    N = nonlinear_connection(jacobian(s))
+    traced = N[0, 1] if level == 0.0 else yang_mills_energy(electromagnetic_form(N))
     bindings = dict(s.params)
     bindings.update({name: float(fixed[name]) for name in remaining})
-    fn = compile_expr([energy], (u, v), bindings)
+    fn = compile_expr([traced], (u, v), bindings)
 
     (ulo, uhi), (vlo, vhi) = box
     us = np.linspace(ulo, uhi, grid + 1)

@@ -9,12 +9,11 @@ single point.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .expr import Box, Expr, differentiate, parse_expression, sample_deviation
-from .geometry import Derivation, ExprMatrix, OdeSystem, VerificationRecord, derive
+from .geometry import Derivation, OdeSystem, VerificationRecord, derive
 
 __all__ = [
     "GoldenSet",
@@ -68,14 +67,18 @@ def require_positive(**params: float) -> None:
         raise ValueError(f"parameters must be positive: {bad}")
 
 
+def _entry_paths(prefix: str, rows: int, cols: int) -> list[str]:
+    """Golden path of every entry of a matrix, row-major, 1-based:
+    "prefix[i][j]"."""
+    return [f"{prefix}[{i}][{j}]" for i in range(1, rows + 1) for j in range(1, cols + 1)]
+
+
 def _parse_matrix_entries(
     prefix: str, rows: Sequence[Sequence[str]], known: Sequence[str]
 ) -> dict[str, Expr]:
-    out = {}
-    for i, row in enumerate(rows, start=1):
-        for j, text in enumerate(row, start=1):
-            out[f"{prefix}[{i}][{j}]"] = parse_expression(text, known)
-    return out
+    texts = [text for row in rows for text in row]
+    paths = _entry_paths(prefix, len(rows), len(rows[0]))
+    return {path: parse_expression(text, known) for path, text in zip(paths, texts)}
 
 
 def cancer_model(
@@ -232,29 +235,15 @@ def builtin_model(name: str, **params: float) -> tuple[OdeSystem, GoldenSet]:
 # ---------------------------------------------------------------------------
 # golden comparison
 
-_PATH_RE = re.compile(r"^(jacobian|connection|torsion|electromagnetic)((?:\[\d+\])+)$")
-
-
-def _resolve_path(path: str, d: Derivation) -> Expr:
-    if path == "EYM":
-        return d.yang_mills_energy
-    match = _PATH_RE.match(path)
-    if not match:
-        raise ValueError(f"unresolvable golden path {path!r}")
-    name = match.group(1)
-    indices = [int(ix) - 1 for ix in re.findall(r"\[(\d+)\]", match.group(2))]
-    try:
-        if name == "torsion":
-            if len(indices) != 3:
-                raise IndexError
-            k, i, j = indices
-            return d.torsion[k].entry(i, j)
-        matrix: ExprMatrix = getattr(d, name)
-        if len(indices) != 2:
-            raise IndexError
-        return matrix.entry(*indices)
-    except IndexError:
-        raise ValueError(f"unresolvable golden path {path!r}") from None
+def _golden_paths(d: Derivation) -> dict[str, Expr]:
+    """Every derived object by golden path: "EYM", "jacobian[i][j]",
+    "connection[i][j]", "torsion[k][i][j]" and "electromagnetic[i][j]"."""
+    matrices = {"jacobian": d.jacobian, "connection": d.connection, "electromagnetic": d.electromagnetic}
+    matrices.update({f"torsion[{k}]": R for k, R in enumerate(d.torsion, start=1)})
+    paths = {"EYM": d.yang_mills_energy}
+    for prefix, m in matrices.items():
+        paths.update(zip(_entry_paths(prefix, m.rows, m.cols), m.entries))
+    return paths
 
 
 def golden_compare(
@@ -271,8 +260,11 @@ def golden_compare(
     records the worst relative deviation; the whole set passes only if every
     path passes.
     """
-    d = derive(system)
-    pairs = [(path, _resolve_path(path, d), golden.entries[path]) for path in sorted(golden.entries)]
+    derived = _golden_paths(derive(system))
+    unresolved = sorted(set(golden.entries) - set(derived))
+    if unresolved:
+        raise ValueError(f"unresolvable golden path {unresolved[0]!r}")
+    pairs = [(path, derived[path], golden.entries[path]) for path in sorted(golden.entries)]
     pairs += [(name, *golden.auxiliary[name]) for name in sorted(golden.auxiliary)]
     records = []
     for name, engine, reference in pairs:
@@ -282,11 +274,10 @@ def golden_compare(
 
 
 def golden_domain(
-    system: OdeSystem,
-    state_interval: tuple[float, float],
-    param_interval: tuple[float, float] = (0.1, 2.0),
+    system: OdeSystem, state_interval: tuple[float, float]
 ) -> dict[str, tuple[float, float]]:
-    """Sampling box covering states and parameters for golden comparisons."""
+    """Sampling box for golden comparisons: states over `state_interval`,
+    parameters over (0.1, 2.0)."""
     box = {name: state_interval for name in system.state_names}
-    box.update({name: param_interval for name in system.params})
+    box.update({name: (0.1, 2.0) for name in system.params})
     return box

@@ -157,9 +157,8 @@ def integrate_flow(
     x0: Sequence[float],
     t_end: float,
     dt: float,
-    t0: float = 0.0,
 ) -> Trajectory:
-    """Classical fixed-step 4-stage Runge-Kutta from x0, sampling at t0 + m*dt."""
+    """Classical fixed-step 4-stage Runge-Kutta from x0 at t = 0, sampling at m*dt."""
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be positive")
     if dt >= t_end:
@@ -173,7 +172,7 @@ def integrate_flow(
     # numpy functions raise on a domain error or overflow, as Python arithmetic does
     with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
         for m in range(steps):
-            t = t0 + m * dt
+            t = m * dt
             try:
                 k1 = rhs(*state)
                 k2 = rhs(*[x + 0.5 * dt * k for x, k in zip(state, k1)])
@@ -188,7 +187,7 @@ def integrate_flow(
             if not all(math.isfinite(v) for v in state):
                 raise IntegrationError("state became non-finite", t + dt, state)
             samples.append(list(state))
-    return Trajectory(t0=t0, dt=dt, samples=np.array(samples))
+    return Trajectory(t0=0.0, dt=dt, samples=np.array(samples))
 
 
 def geodesic_check(

@@ -6,6 +6,7 @@ Everything is seeded; reruns are byte-identical.
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from jetgeo.expr import Add, Call, Div, Expr, Mul, Neg, Num, Pow, Sub, Sym, differentiate
 from jetgeo.geometry import OdeSystem
@@ -80,3 +81,27 @@ def random_expression(rng: random.Random, names: tuple[str, ...], depth: int = 3
     if pick == 6:
         return Call(rng.choice(("sin", "cos")), a)
     return Call("exp", Mul(Num(0.25), a))
+
+
+def cancer_zero_curve(
+    a: float, h: float, k: float, P_samples: Sequence[float]
+) -> tuple[list[tuple[float, float]], list[float]]:
+    """Zero-energy locus of the tumor model in closed form, the graph
+
+        Q(P) = P (1 + k P^2) [h - (2a + 1)(1 + k P^2)]
+               / [a (1 + k P^2)^2 - h (1 - k P^2)]
+
+    sampled at P_samples. Returns the (P, Q) samples and, apart, the P values
+    where the denominator vanishes relative to the magnitude of its terms.
+    """
+    samples, poles = [], []
+    for P in map(float, P_samples):
+        w = 1.0 + k * P * P
+        term_a = a * w * w
+        term_h = h * (1.0 - k * P * P)
+        den = term_a - term_h
+        if abs(den) <= 1e-12 * (1.0 + max(abs(term_a), abs(term_h))):
+            poles.append(P)
+            continue
+        samples.append((P, P * w * (h - (2.0 * a + 1.0) * w) / den))
+    return samples, poles

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import gradient_field, random_rational_field
+from conftest import cancer_zero_curve, gradient_field, random_rational_field
 from jetgeo.expr import Num, evaluate
 from jetgeo.geometry import (
     OdeSystem,
@@ -22,7 +22,6 @@ from jetgeo.levelset import (
     EllipticCylinder,
     EmptySet,
     Line,
-    cancer_zero_curve,
     classify_hiv_level_set,
     hiv_invariants,
     marching_squares,
@@ -55,7 +54,7 @@ def test_criterion_1_cancer_golden_suite():
     comparison = golden_compare(
         system,
         subset,
-        golden_domain(system, (0.1, 5.0), (0.1, 2.0)),
+        golden_domain(system, (0.1, 5.0)),
         samples=1000,
         tolerance=1e-9,
     )
@@ -71,7 +70,7 @@ def test_criterion_2_hiv_golden_suite():
     comparison = golden_compare(
         system,
         golden,
-        golden_domain(system, (0.1, 10.0), (0.1, 2.0)),
+        golden_domain(system, (0.1, 10.0)),
         samples=1000,
         tolerance=1e-12,
     )
@@ -239,9 +238,9 @@ def test_criterion_9_cancer_zero_curve():
         k = rng.uniform(0.1, 2.0)
         system, _ = cancer_model(a=a, h=h, k=k)
         energy = derive(system).yang_mills_energy
-        curve = cancer_zero_curve(a, h, k, np.linspace(0.025, 5.0, 200))
-        assert len(curve.samples) + len(curve.poles) == 200
-        for P, Q in curve.samples:
+        samples, poles = cancer_zero_curve(a, h, k, np.linspace(0.025, 5.0, 200))
+        assert len(samples) + len(poles) == 200
+        for P, Q in samples:
             point = dict(system.params)
             point.update({"P": P, "Q": Q})
             fp = h * Q * (1 - k * P * P) / (1 + k * P * P) ** 2

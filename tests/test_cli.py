@@ -132,12 +132,31 @@ def test_levelset_classification_cylinder_and_empty(capsys):
 def test_levelset_zero_curve_csv(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     status = run_command(
-        ["levelset", "--zero-curve", "--a", "1", "--h", "1", "--k", "1", "--out", str(out_path)]
+        [
+            "levelset", "--model", "cancer", "--level", "0", "--axes", "P,Q",
+            "--box=0.025:5,-20:20", "--out", str(out_path),
+        ]
     )
     assert status == 0
     lines = out_path.read_text().strip().split("\n")
-    assert lines[0] == "P,Q"
-    assert len(lines) == 201
+    assert lines[0] == "polyline_id,P,Q"
+    assert len(lines) > 1 and lines[1].startswith("0,")
+    assert "contours of cancer at level 0 -> " in capsys.readouterr().out
+
+
+def test_levelset_zero_curve_needs_a_planar_system(capsys):
+    args = ["levelset", "--model", "hiv1", "--level", "0", "--axes", "T,V", "--fixed", "Tstar=1"]
+    assert run_command(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: level 0 needs a planar system: with n=3 ")
+
+
+def test_levelset_zero_curve_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_command(["levelset", "--zero-curve", "--a", "1", "--h", "1", "--k", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --zero-curve --a 1 --h 1" in capsys.readouterr().err
 
 
 def test_levelset_contours_csv(tmp_path):
@@ -251,3 +270,24 @@ def test_levelset_rerun_is_byte_identical(capsys):
     first = capsys.readouterr().out
     run_command(args)
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "terms, command",
+    [
+        (200, ["trace", "--x0", "0.5,0.5", "--t", "0.1", "--dt", "0.01"]),
+        (200, ["levelset", "--level", "0.01", "--axes", "x,y", "--box", "0:1,0:1"]),
+        (400, ["trace", "--x0", "0.5,0.5", "--t", "0.1", "--dt", "0.01"]),
+        (400, ["levelset", "--level", "0.01", "--axes", "x,y", "--box", "0:1,0:1"]),
+        (400, ["analyze"]),
+    ],
+)
+def test_too_deep_expressions_are_usage_errors(tmp_path, capsys, terms, command):
+    # a sum of `terms` products nests deeper than Python's parser (200) or
+    # recursion limit allows; the CLI reports it on one line, not a traceback
+    path = tmp_path / "deep.txt"
+    path.write_text("vars: x y\nparams: c=0.001\neq x: " + " + ".join(["c*x*y"] * terms) + "\neq y: x - y\n")
+    assert run_command([command[0], "--file", str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import jetgeo.levelset
+from conftest import cancer_zero_curve
 from jetgeo.cli import parse_system_file
 from jetgeo.expr import evaluate
 from jetgeo.geometry import derive
@@ -15,7 +16,6 @@ from jetgeo.levelset import (
     EllipticCylinder,
     EmptySet,
     Line,
-    cancer_zero_curve,
     classify_hiv_level_set,
     extract_contours,
     hiv_invariants,
@@ -122,11 +122,6 @@ def test_classification_argument_validation():
 # zero-energy curve
 
 
-def test_zero_curve_passes_through_origin():
-    curve = cancer_zero_curve(0.7, 1.3, 0.4, [0.0])
-    assert curve.samples == ((0.0, 0.0),)
-
-
 def test_zero_curve_zeroes_engine_energy():
     rng = random.Random(12)
     for _ in range(5):
@@ -135,8 +130,8 @@ def test_zero_curve_zeroes_engine_energy():
         k = rng.uniform(0.1, 2.0)
         system, _ = cancer_model(a=a, h=h, k=k)
         energy = derive(system).yang_mills_energy
-        curve = cancer_zero_curve(a, h, k, np.linspace(0.025, 5.0, 100))
-        for P, Q in curve.samples:
+        samples, _ = cancer_zero_curve(a, h, k, np.linspace(0.025, 5.0, 100))
+        for P, Q in samples:
             point = dict(system.params)
             point.update({"P": P, "Q": Q})
             fp = h * Q * (1 - k * P * P) / (1 + k * P * P) ** 2
@@ -145,43 +140,25 @@ def test_zero_curve_zeroes_engine_energy():
             assert evaluate(energy, point) <= 1e-18 * scale
 
 
-def test_zero_curve_denominator_positive_for_unit_parameters():
-    # a = h = k = 1: denominator (1+P^2)^2 - (1-P^2) = P^4 + 3 P^2 > 0 for P > 0
-    for P in np.linspace(0.01, 5.0, 50):
-        assert (1 + P * P) ** 2 - (1 - P * P) == pytest.approx(P**4 + 3 * P * P, rel=1e-12)
-    curve = cancer_zero_curve(1.0, 1.0, 1.0, np.linspace(0.01, 5.0, 200))
-    assert curve.poles == ()
-    assert len(curve.samples) == 200
+@pytest.mark.parametrize("a, h, k", [(1.0, 1.0, 1.0), (0.3, 1.0, 0.1), (0.5, 2.0, 0.7)])
+def test_level_zero_traces_the_cancer_zero_curve(a, h, k):
+    # {EYM = 0} = {g = 0} with g = 2 N_12 = (2a+1) P + a Q - F_P - F_Q; each
+    # vertex's first-order distance to it is |g| / |grad g|
+    system, _ = cancer_model(r=0.5, a=a, h=h, k=k)
+    result = extract_contours(system, ("P", "Q"), {}, ((0.025, 5.0), (-20.0, 20.0)), 0.0, 512)
+    P, Q = np.array([point for line in result.polylines for point in line]).T
+    assert P.size > 0
+    w = 1.0 + k * P * P
+    g = (2 * a + 1) * P + a * Q - h * Q * (1 - k * P * P) / w**2 - h * P / w
+    g_P = (2 * a + 1) + 2 * h * k * P * Q * (3 - k * P * P) / w**3 - h * (1 - k * P * P) / w**2
+    g_Q = a - h * (1 - k * P * P) / w**2
+    assert np.max(np.abs(g) / np.hypot(g_P, g_Q)) <= 1e-3
 
 
-def test_zero_curve_reports_poles():
-    # a=0.1, h=2, k=0.5: denominator changes sign on (0, 2); bisect the root
-    a, h, k = 0.1, 2.0, 0.5
-
-    def den(P):
-        w = 1.0 + k * P * P
-        return a * w * w - h * (1.0 - k * P * P)
-
-    lo, hi = 0.0, 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if den(lo) * den(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    pole = 0.5 * (lo + hi)
-    curve = cancer_zero_curve(a, h, k, [0.5, pole, 1.5])
-    assert curve.poles == (pole,)
-    assert len(curve.samples) == 2
-
-
-def test_zero_curve_argument_validation():
-    with pytest.raises(ValueError, match="positive"):
-        cancer_zero_curve(-1.0, 1.0, 1.0, [1.0])
-    with pytest.raises(ValueError, match="empty"):
-        cancer_zero_curve(1.0, 1.0, 1.0, [])
-    with pytest.raises(ValueError, match="non-finite"):
-        cancer_zero_curve(1.0, 1.0, 1.0, [float("nan")])
+def test_level_zero_needs_a_planar_system():
+    system, _ = hiv_model()
+    with pytest.raises(ValueError, match="n=3"):
+        extract_contours(system, ("T", "V"), {"Tstar": 1.0}, ((0.0, 2.0), (0.0, 2.0)), 0.0, 16)
 
 
 # ---------------------------------------------------------------------------

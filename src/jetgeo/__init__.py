@@ -38,12 +38,9 @@ from .geometry import (
 )
 from .levelset import (
     Contours,
-    EllipticCylinder,
-    EmptySet,
-    Line,
-    classify_hiv_level_set,
+    QuadricLevelSet,
+    classify_level_set,
     extract_contours,
-    hiv_invariants,
     marching_squares,
 )
 from .models import (

@@ -4,8 +4,8 @@ Subcommands
     analyze   derived objects + identity verdicts for a system
     verify    golden regression (built-in models) and invariant suite
     trace     fixed-step integration, CSV export, optional geodesic check
-    levelset  closed-form classification, or contours (level 0: the
-              zero-energy curve of a planar system)
+    levelset  classification of {EYM = C} for a quadratic energy, or
+              contours (level 0: the zero-energy curve of a planar system)
 
 Systems come from --model cancer|hiv1 or from --file in the line format
 
@@ -27,15 +27,8 @@ import sys
 from typing import Sequence
 
 from .expr import ParseError, parse_expression, to_string
-from .geometry import GeometryReport, OdeSystem, analyze
-from .levelset import (
-    EllipticCylinder,
-    EmptySet,
-    Line,
-    classify_hiv_level_set,
-    extract_contours,
-    hiv_invariants,
-)
+from .geometry import GeometryReport, OdeSystem, analyze, derive
+from .levelset import classify_level_set, extract_contours
 from .models import builtin_model, golden_compare, golden_domain
 from .variational import geodesic_check, integrate_flow
 
@@ -221,43 +214,36 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _along(names: Sequence[str], direction: Sequence[float]) -> str:
+    """A unit direction by its non-zero components; a state axis by its name."""
+    parts = [(name, c) for name, c in zip(names, direction) if c != 0.0]
+    if len(parts) == 1 and parts[0][1] == 1.0:
+        return parts[0][0]
+    return ", ".join(f"{name}={_fmt(c)}" for name, c in parts)
+
+
 def _cmd_levelset(args: argparse.Namespace) -> int:
-    if args.C is not None:
-        return _levelset_classify(args)
+    if args.C is None and args.level is None:
+        raise SystemFileError("levelset needs one of --C or --level")
+    system, _, label = _load_system(args)
     if args.level is not None:
-        return _levelset_contours(args)
-    raise SystemFileError("levelset needs one of --C or --level")
-
-
-def _levelset_classify(args: argparse.Namespace) -> int:
-    inv = hiv_invariants(args.k, args.n, args.delta, args.C)
-    result = classify_hiv_level_set(args.k, args.n, args.delta, args.C)
-    print(
-        f"levelset classification (k={_fmt(args.k)}, n={_fmt(args.n)}, "
-        f"delta={_fmt(args.delta)}, C={_fmt(args.C)})"
-    )
-    print(f"  critical level C* = {_fmt(inv.critical_level)}")
-    print(f"  discriminant Delta_C = {_fmt(inv.discriminant)}")
-    print(f"  minor invariant delta = {_fmt(inv.minor)}, trace invariant I = {_fmt(inv.trace)}")
-    if isinstance(result, EmptySet):
-        print("result: EmptySet")
-    elif isinstance(result, Line):
-        print(f"result: Line T={_fmt(result.point[0])}, V={_fmt(result.point[2])} (Tstar free)")
-    elif isinstance(result, EllipticCylinder):
-        print(
-            f"result: EllipticCylinder center T={_fmt(result.center_T)}, "
-            f"a={_fmt(result.semi_axis_a)}, b={_fmt(result.semi_axis_b)}, "
-            f"axis {result.axis}"
-        )
+        return _levelset_contours(system, label, args)
+    result = classify_level_set(derive(system), args.C)
+    names = system.state_names
+    print(f"levelset classification of {label} at C={_fmt(args.C)}")
+    print(f"  critical level C* = {_fmt(result.critical_level)}")
+    print("  center " + ", ".join(f"{name}={_fmt(c)}" for name, c in zip(names, result.center)))
+    for a, axis in zip(result.semi_axes, result.axes):
+        print(f"  semi-axis {_fmt(a)} along {_along(names, axis)}")
+    for direction in result.free:
+        print(f"  free along {_along(names, direction)}")
+    print(f"result: {result.kind}")
     return 0
 
 
-def _levelset_contours(args: argparse.Namespace) -> int:
-    if not (args.model or args.file):
-        raise SystemFileError("contour extraction needs --model or --file")
+def _levelset_contours(system: OdeSystem, label: str, args: argparse.Namespace) -> int:
     if not args.axes:
         raise SystemFileError("contour extraction needs --axes")
-    system, _, label = _load_system(args)
     axes = tuple(args.axes.split(","))
     if len(axes) != 2:
         raise SystemFileError("--axes expects two comma-separated state names")
@@ -325,17 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_level = sub.add_parser(
         "levelset", help="classification, or contours (level 0: zero-energy curve)", allow_abbrev=False
     )
-    group = p_level.add_mutually_exclusive_group(required=False)
-    group.add_argument("--model", choices=("cancer", "hiv1"))
-    group.add_argument("--file")
-    p_level.add_argument("--C", type=float, help="energy level for closed-form classification")
-    p_level.add_argument("--k", type=float, default=1.0)
-    p_level.add_argument("--n", type=float, default=1.0)
-    p_level.add_argument("--delta", type=float, default=1.0)
-    p_level.add_argument(
-        "--level", type=float,
-        help="energy level for contour extraction; 0 traces N_12 = 0 (planar systems only)",
-    )
+    _add_system_options(p_level)
+    mode = p_level.add_mutually_exclusive_group()
+    mode.add_argument("--C", type=float, help="energy level to classify (N must be affine in the states)")
+    mode.add_argument("--level", type=float, help="energy level to contour; 0 traces N_12 = 0 (planar systems only)")
     p_level.add_argument("--axes", default=None, help="two states, e.g. P,Q")
     p_level.add_argument("--fixed", default=None, help="remaining states, e.g. V=1.0")
     p_level.add_argument("--box", default="0:5,0:5", help="sampling box lo1:hi1,lo2:hi2")

@@ -1,9 +1,10 @@
 """Energy level sets.
 
-The HIV-1 energy surfaces {EYM = C} are classified in closed form through the
-invariants of the generating conic: below the critical level n^2 delta^2 / 8
-the set is empty, at it the surface degenerates to a line, above it the
-surface is a right elliptic cylinder. Arbitrary systems get numeric contour
+For a system whose nonlinear connection N is affine in the states, the
+energy is a quadratic, EYM = |M x + b|^2, and `classify_level_set` reads
+{EYM = C} off the `Derivation`: empty below the critical level C*, the
+minimiser's affine set at it, above it a quadric (for HIV-1, the paper's
+line and right elliptic cylinder). Arbitrary systems get numeric contour
 extraction on 2-d slices via marching squares; at level 0 a planar system's
 contour is {N_12 = 0}, the zero-energy locus (for the tumor model, the graph
 of a rational function).
@@ -13,61 +14,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
-from .expr import EvaluationError, compile_expr
-from .geometry import OdeSystem, electromagnetic_form, jacobian, nonlinear_connection, yang_mills_energy
-from .models import require_positive
+from .expr import EvaluationError, compile_expr, free_symbols, simplify, substitute
+from .geometry import Derivation, OdeSystem, electromagnetic_form, jacobian, nonlinear_connection, yang_mills_energy
 
 __all__ = [
-    "EmptySet",
-    "Line",
-    "EllipticCylinder",
     "Contours",
-    "LevelSetResult",
-    "QuadricInvariants",
-    "hiv_invariants",
-    "classify_hiv_level_set",
+    "QuadricLevelSet",
+    "classify_level_set",
     "marching_squares",
     "extract_contours",
 ]
 
-#: relative half-width of the degeneracy band around the critical level
+#: relative width of the rank cut and of the band around the critical level
 DEGENERACY_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class EmptySet:
-    """Level set with no real points."""
-
-
-@dataclass(frozen=True)
-class Line:
-    """Degenerate level set: a straight line (point + direction)."""
-
-    point: tuple[float, ...]
-    direction: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class EllipticCylinder:
-    """Right elliptic cylinder with axis along the named free coordinate.
-
-    Cross-section: ((T - center_T)/a)^2 + (V/b)^2 = 1 with 0 < a < b.
-    """
-
-    center_T: float
-    semi_axis_a: float
-    semi_axis_b: float
-    axis: str
-
-    def __post_init__(self):
-        if not (0.0 < self.semi_axis_a < self.semi_axis_b):
-            raise ValueError(
-                f"need 0 < a < b, got a={self.semi_axis_a}, b={self.semi_axis_b}"
-            )
 
 
 @dataclass(frozen=True)
@@ -78,51 +41,82 @@ class Contours:
     polylines: tuple[tuple[tuple[float, float], ...], ...]
 
 
-LevelSetResult = Union[EmptySet, Line, EllipticCylinder]
-
-
 @dataclass(frozen=True)
-class QuadricInvariants:
-    """Invariants of the conic generating the HIV-1 energy surface at level C."""
+class QuadricLevelSet:
+    """{EYM = level} for a quadratic energy: the points center + sum_i t_i
+    semi_axes[i] axes[i] + span(free), |t| = 1, directions as unit vectors
+    in state order. At the critical level every semi-axis is 0; an empty set
+    has no axes and no free directions."""
 
-    discriminant: float  # Delta_C = k^4 (n^2 delta^2 - 8 C)
-    minor: float  # delta = 2 k^4
-    trace: float  # I = 3 k^2
-    critical_level: float  # C* = n^2 delta^2 / 8
+    level: float
+    critical_level: float
+    center: tuple[float, ...]
+    semi_axes: tuple[float, ...]
+    axes: tuple[tuple[float, ...], ...]
+    free: tuple[tuple[float, ...], ...]
+
+    @property
+    def empty(self) -> bool:
+        return not (self.semi_axes or self.free)
+
+    @property
+    def kind(self) -> str:
+        """Named by the number of non-zero semi-axes and of free directions."""
+        if self.empty:
+            return "empty"
+        counts = (sum(a > 0.0 for a in self.semi_axes), len(self.free))
+        return {
+            (0, 0): "point", (0, 1): "line", (0, 2): "plane", (1, 1): "two parallel lines",
+            (1, 2): "two parallel planes", (2, 0): "ellipse", (2, 1): "elliptic cylinder", (3, 0): "ellipsoid",
+        }.get(counts, "quadric with %d semi-axes and %d free directions" % counts)
 
 
-def hiv_invariants(k: float, n: float, delta: float, C: float) -> QuadricInvariants:
-    require_positive(k=k, n=n, delta=delta)
-    if C < 0.0:
-        raise ValueError(f"level must be nonnegative, got {C}")
-    return QuadricInvariants(
-        discriminant=k**4 * ((n * delta) ** 2 - 8.0 * C),
-        minor=2.0 * k**4,
-        trace=3.0 * k**2,
-        critical_level=(n * delta) ** 2 / 8.0,
-    )
+def _check_level(level: float) -> None:
+    if not (math.isfinite(level) and level >= 0.0):
+        raise ValueError(f"level must be finite and nonnegative, got {level}")
 
 
-def classify_hiv_level_set(k: float, n: float, delta: float, C: float) -> LevelSetResult:
-    """Classify {EYM = C} for the HIV-1 flow.
+def classify_level_set(d: Derivation, level: float) -> QuadricLevelSet:
+    """Classify {EYM = level} for a system whose N is affine in the states.
 
-    Below the critical level C* = n^2 delta^2 / 8 the set is empty; within a
-    relative DEGENERACY_EPS band of C* it is the line T = n delta / (2k),
-    V = 0 (Tstar free); above it, a right elliptic cylinder around that line.
+    Then EYM = sum_{i<j} N_ij^2 = |M x + b|^2 with M[(i,j), k] = R_k[i, j],
+    the torsion, and b = N(0). The eigenvectors of M^T M whose eigenvalue
+    exceeds DEGENERACY_EPS times the largest are the axes, the rest are
+    free; the least-squares minimiser is the center, C* = |M center + b|^2.
+    Below C* (relative band DEGENERACY_EPS) the set is empty, within the band
+    every semi-axis is 0, above it each is sqrt((level - C*) / eigenvalue).
+    A torsion entry that still depends on a state once the parameters are
+    bound is a ValueError naming the entry and the state.
     """
-    c_star = hiv_invariants(k, n, delta, C).critical_level
-    center = n * delta / (2.0 * k)
-    if C < c_star * (1.0 - DEGENERACY_EPS):
-        return EmptySet()
-    if C <= c_star * (1.0 + DEGENERACY_EPS):
-        return Line(point=(center, 0.0, 0.0), direction=(0.0, 1.0, 0.0))
-    spread = math.sqrt(8.0 * C - (n * delta) ** 2)
-    return EllipticCylinder(
-        center_T=center,
-        semi_axis_a=spread / (2.0 * k),
-        semi_axis_b=spread / (k * math.sqrt(2.0)),
-        axis="Tstar",
-    )
+    _check_level(level)
+    s, n = d.system, d.system.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = len(pairs)
+    entries = [R[i, j] for R in d.torsion for i, j in pairs] + [d.connection[i, j] for i, j in pairs]
+    bound = [simplify(substitute(e, s.params)) for e in entries]
+    for index, e in enumerate(bound[: n * m]):
+        if free_symbols(e) & set(s.state_names):
+            (i, j), state = pairs[index % m], s.state_names[index // m]
+            raise ValueError(f"energy is not quadratic in the states: N_{i + 1}{j + 1} is not affine in {state}")
+    values = np.array(compile_expr(bound, s.state_names)(*[0.0] * n), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("N or its torsion is not finite at the origin")
+    M, b = values[: n * m].reshape(n, m).T, values[n * m :]
+
+    eigenvalues, vectors = np.linalg.eigh(M.T @ M)
+    # sign-normalise: first non-zero component positive, and no -0.0
+    first = vectors[np.argmax(vectors != 0.0, axis=0), range(n)]
+    vectors = np.where(first < 0.0, -vectors, vectors) + 0.0
+    ranked = eigenvalues > DEGENERACY_EPS * eigenvalues[-1]
+    lam, axes = eigenvalues[ranked], vectors[:, ranked]
+    center = -(axes @ ((axes.T @ (M.T @ b)) / lam)) + 0.0
+    c_star = float(np.sum((M @ center + b) ** 2))
+    above = level > c_star * (1.0 + DEGENERACY_EPS)
+    if level < c_star * (1.0 - DEGENERACY_EPS) or (above and not lam.size):
+        return QuadricLevelSet(float(level), c_star, tuple(center.tolist()), (), (), ())
+    semi_axes = np.sqrt((level - c_star if above else 0.0) / lam)
+    rows = [tuple(map(tuple, a.T.tolist())) for a in (axes, vectors[:, ~ranked])]
+    return QuadricLevelSet(float(level), c_star, tuple(center.tolist()), tuple(semi_axes.tolist()), *rows)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +273,12 @@ def extract_contours(
 ) -> Contours:
     """Marching-squares contours of {EYM = level} on a 2-d slice of state space.
 
-    The two `axes` states vary over `box`; every remaining state must be bound
-    in `fixed`. Grid resolution is the number of cells per side. A pole in
-    the box is an error: if the energy is non-finite at any grid node or cell
-    centre, an EvaluationError gives their count and the first location.
+    The two `axes` states vary over `box`, each interval finite with lo < hi;
+    every remaining state, and nothing else, must be bound in `fixed`. The
+    level must be finite and nonnegative. Grid resolution is the number of
+    cells per side. A pole in the box is an error: if the energy is
+    non-finite at any grid node or cell centre, an EvaluationError gives
+    their count and the first location.
 
     EYM >= 0 touches 0 without crossing it, so level 0 contours N_12 instead:
     for n = 2, EYM = N_12^2 and N_12 changes sign across {EYM = 0}. With
@@ -296,13 +292,17 @@ def extract_contours(
         if name not in s.state_names:
             raise ValueError(f"axis {name!r} is not a state variable")
     remaining = set(s.state_names) - {u, v}
-    unbound = remaining - set(fixed)
+    unbound, stray = remaining - set(fixed), set(fixed) - remaining
     if unbound:
         raise ValueError(f"unbound remaining states: {sorted(unbound)}")
+    if stray:
+        raise ValueError(f"fixed values for names that are not remaining states: {sorted(stray)}")
+    for name, (lo, hi) in zip(axes, box):
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"box interval for {name} needs finite lo < hi, got {lo:g}:{hi:g}")
     if grid < 8:
         raise ValueError(f"grid resolution must be at least 8, got {grid}")
-    if level < 0.0:
-        raise ValueError(f"level must be nonnegative, got {level}")
+    _check_level(level)
     if level == 0.0 and s.n != 2:
         raise ValueError(
             f"level 0 needs a planar system: with n={s.n} the zero-energy set is "

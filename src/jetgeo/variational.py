@@ -159,6 +159,8 @@ def integrate_flow(
     dt: float,
 ) -> Trajectory:
     """Classical fixed-step 4-stage Runge-Kutta from x0 at t = 0, sampling at m*dt."""
+    if not (math.isfinite(dt) and math.isfinite(t_end)):
+        raise ValueError(f"dt and t_end must be finite, got dt={dt}, t_end={t_end}")
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be positive")
     if dt >= t_end:
@@ -190,11 +192,7 @@ def integrate_flow(
     return Trajectory(t0=0.0, dt=dt, samples=np.array(samples))
 
 
-def geodesic_check(
-    s: OdeSystem,
-    traj: Trajectory,
-    tolerance: float | None = None,
-) -> VerificationRecord:
+def geodesic_check(s: OdeSystem, traj: Trajectory) -> VerificationRecord:
     """Euler-Lagrange residual along a trajectory, velocities and accelerations
     approximated by central differences at interior samples.
 
@@ -203,7 +201,7 @@ def geodesic_check(
     nothing is differentiated beyond J. `euler_lagrange_residual` is the
     reference.
 
-    Default tolerance is 1e-4 * (1 + max state norm), matching the O(dt^2)
+    The tolerance is 1e-4 * (1 + max state norm), matching the O(dt^2)
     discretization error of the central differences at dt = 1e-3.
     """
     x = traj.samples
@@ -226,7 +224,6 @@ def geodesic_check(
     norms = np.linalg.norm(residual, axis=1)
     worst_idx = int(np.argmax(norms))
     worst = float(norms[worst_idx])
-    if tolerance is None:
-        tolerance = 1e-4 * (1.0 + float(np.max(np.linalg.norm(x, axis=1))))
+    tolerance = 1e-4 * (1.0 + float(np.max(np.linalg.norm(x, axis=1))))
     detail = f"worst at interior sample {worst_idx + 1} (t={traj.t0 + (worst_idx + 1) * dt:.6g})"
     return VerificationRecord("geodesic_residual", worst <= tolerance, worst, tolerance, detail)

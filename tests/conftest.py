@@ -5,6 +5,7 @@ Everything is seeded; reruns are byte-identical.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -105,3 +106,25 @@ def cancer_zero_curve(
             continue
         samples.append((P, P * w * (h - (2.0 * a + 1.0) * w) / den))
     return samples, poles
+
+
+def hiv_level_set(k: float, n: float, delta: float, C: float) -> dict[str, float]:
+    """The paper's closed form for {EYM = C} of the HIV-1 flow.
+
+    EYM = (k^2 (T^2 + V^2) + (k T - n delta)^2) / 4 is generated by a conic
+    in (T, V) with invariants Delta_C = k^4 (n^2 delta^2 - 8 C), delta = 2 k^4
+    and I = 3 k^2. Since delta > 0 and I > 0, the sign of Delta_C decides the
+    branch: empty above 0, the line T = n delta / (2k), V = 0 (Tstar free) at
+    0, below 0 a right elliptic cylinder around that line with semi-axis a
+    along T and b along V, 0 < a < b. The critical level is C* = n^2 delta^2 / 8.
+    """
+    spread = math.sqrt(max(8.0 * C - (n * delta) ** 2, 0.0))
+    return {
+        "discriminant": k**4 * ((n * delta) ** 2 - 8.0 * C),
+        "minor": 2.0 * k**4,
+        "trace": 3.0 * k**2,
+        "critical_level": (n * delta) ** 2 / 8.0,
+        "center_T": n * delta / (2.0 * k),
+        "a": spread / (2.0 * k),
+        "b": spread / (k * math.sqrt(2.0)),
+    }

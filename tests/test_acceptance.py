@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import cancer_zero_curve, gradient_field, random_rational_field
+from conftest import cancer_zero_curve, gradient_field, hiv_level_set, random_rational_field
 from jetgeo.expr import Num, evaluate
 from jetgeo.geometry import (
     OdeSystem,
@@ -18,14 +18,7 @@ from jetgeo.geometry import (
     derive,
     maxwell_check,
 )
-from jetgeo.levelset import (
-    EllipticCylinder,
-    EmptySet,
-    Line,
-    classify_hiv_level_set,
-    hiv_invariants,
-    marching_squares,
-)
+from jetgeo.levelset import classify_level_set, marching_squares
 from jetgeo.models import GoldenSet, cancer_model, golden_compare, golden_domain, hiv_model
 from jetgeo.variational import geodesic_check, integrate_flow
 
@@ -194,29 +187,29 @@ def test_criterion_7_rk4_convergence_order():
 
 
 def test_criterion_8_hiv_level_set_trichotomy():
-    empty = classify_hiv_level_set(1.0, 1.0, 1.0, 0.05)
-    line = classify_hiv_level_set(1.0, 1.0, 1.0, 0.125)
-    cyl = classify_hiv_level_set(1.0, 1.0, 1.0, 0.25)
-    assert isinstance(empty, EmptySet)
-    assert isinstance(line, Line) and line.point[0] == pytest.approx(0.5) and line.point[2] == 0.0
-    assert isinstance(cyl, EllipticCylinder)
-    assert cyl.semi_axis_a == pytest.approx(0.5, abs=1e-12)
-    assert cyl.semi_axis_b == pytest.approx(2.0**-0.5, abs=1e-12)
+    system, _ = hiv_model()
+    d = derive(system)
+    empty, line, cyl = (classify_level_set(d, C) for C in (0.05, 0.125, 0.25))
+    assert empty.kind == "empty"
+    assert line.kind == "line" and line.center[0] == pytest.approx(0.5) and line.center[2] == 0.0
+    assert cyl.kind == "elliptic cylinder"
+    b, a = cyl.semi_axes
+    assert a == pytest.approx(0.5, abs=1e-12)
+    assert b == pytest.approx(2.0**-0.5, abs=1e-12)
 
     for C, expected_sign in ((0.05, 1), (0.125, 0), (0.25, -1)):
-        disc = hiv_invariants(1.0, 1.0, 1.0, C).discriminant
+        disc = hiv_level_set(1.0, 1.0, 1.0, C)["discriminant"]
         sign = 0 if disc == 0.0 else int(math.copysign(1, disc))
         assert sign == expected_sign, (C, disc)
 
-    system, _ = hiv_model()
-    energy = derive(system).yang_mills_energy
+    energy = d.yang_mills_energy
     worst = 0.0
     for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
         point = dict(system.params)
         point.update(
             {
-                "T": cyl.center_T + cyl.semi_axis_a * math.cos(theta),
-                "V": cyl.semi_axis_b * math.sin(theta),
+                "T": cyl.center[0] + a * math.cos(theta),
+                "V": b * math.sin(theta),
                 "Tstar": 1.0,
             }
         )

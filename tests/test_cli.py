@@ -111,22 +111,66 @@ def test_verify_builtin_models(capsys):
 
 
 def test_levelset_classification_line(capsys):
-    status = run_command(
-        ["levelset", "--model", "hiv1", "--C", "0.125", "--k", "1", "--n", "1", "--delta", "1"]
-    )
+    status = run_command(["levelset", "--model", "hiv1", "--C", "0.125"])
     out = capsys.readouterr().out
     assert status == 0
-    assert "Line T=0.5, V=0" in out
-    assert "Delta_C = 0" in out
+    assert "  critical level C* = 0.125\n" in out
+    assert "  center T=0.5, Tstar=0, V=0\n" in out
+    assert "  free along Tstar\n" in out
+    assert out.endswith("result: line\n")
 
 
 def test_levelset_classification_cylinder_and_empty(capsys):
-    run_command(["levelset", "--C", "0.25"])
+    assert run_command(["levelset", "--model", "hiv1", "--C", "0.25"]) == 0
+    assert capsys.readouterr().out == (
+        "levelset classification of hiv1 at C=0.25\n"
+        "  critical level C* = 0.125\n"
+        "  center T=0.5, Tstar=0, V=0\n"
+        "  semi-axis 0.707106781187 along V\n"
+        "  semi-axis 0.5 along T\n"
+        "  free along Tstar\n"
+        "result: elliptic cylinder\n"
+    )
+    run_command(["levelset", "--model", "hiv1", "--C", "0.05"])
     out = capsys.readouterr().out
-    assert "EllipticCylinder" in out and "a=0.5" in out and "b=0.707106781187" in out
-    run_command(["levelset", "--C", "0.05"])
+    assert "  critical level C* = 0.125\n" in out
+    assert out.endswith("result: empty\n")
+
+
+def test_levelset_classifies_a_file_system_with_its_params(tmp_path, capsys):
+    path = tmp_path / "ellipsoid.txt"
+    path.write_text("vars: x y z\nparams: a=2\neq x: z^2 + a*y\neq y: x^2\neq z: 3*y^2\n")
+    assert run_command(["levelset", "--file", str(path), "--C", "0.5"]) == 0
     out = capsys.readouterr().out
-    assert "EmptySet" in out
+    assert "  critical level C* = 0\n  center x=1, y=0, z=0\n" in out
+    assert out.endswith("result: ellipsoid\n")
+
+
+def test_levelset_classification_rejects_a_non_quadratic_energy(capsys):
+    assert run_command(["levelset", "--model", "cancer", "--C", "0.25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: energy is not quadratic in the states: N_12 is not affine in P\n"
+
+
+@pytest.mark.parametrize("level", ["nan", "inf", "-0.1"])
+def test_levelset_classification_rejects_a_bad_level(capsys, level):
+    assert run_command(["levelset", "--model", "hiv1", "--C", level]) == 2
+    assert capsys.readouterr().err == f"error: level must be finite and nonnegative, got {float(level)}\n"
+
+
+def test_levelset_classification_and_contours_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_command(["levelset", "--model", "hiv1", "--C", "0.25", "--level", "0.3", "--axes", "T,V"])
+    assert exc.value.code == 2
+    assert "argument --level: not allowed with argument --C" in capsys.readouterr().err
+
+
+def test_levelset_hiv_parameter_options_are_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_command(["levelset", "--model", "hiv1", "--C", "0.25", "--k", "2", "--n", "1", "--delta", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k 2 --n 1 --delta 1" in capsys.readouterr().err
 
 
 def test_levelset_zero_curve_csv(tmp_path, capsys):
@@ -154,7 +198,7 @@ def test_levelset_zero_curve_needs_a_planar_system(capsys):
 
 def test_levelset_zero_curve_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
-        run_command(["levelset", "--zero-curve", "--a", "1", "--h", "1", "--k", "1"])
+        run_command(["levelset", "--model", "cancer", "--zero-curve", "--a", "1", "--h", "1", "--k", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --zero-curve --a 1 --h 1" in capsys.readouterr().err
 
@@ -186,7 +230,7 @@ def test_levelset_requires_a_mode(capsys):
 def test_levelset_rejects_seed_option(capsys):
     # no levelset mode samples, so a seed would be silently ignored
     with pytest.raises(SystemExit) as exc:
-        run_command(["levelset", "--C", "0.125", "--seed", "1"])
+        run_command(["levelset", "--model", "hiv1", "--C", "0.125", "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
@@ -262,6 +306,31 @@ def test_levelset_contours_reject_a_pole_at_cell_centres_only(tmp_path, capsys):
     assert captured.err == (
         "error: energy is non-finite at 8 grid nodes and cell centres, first at x=0.125, y=0.125\n"
     )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--box", "1:1,0:3"], "box interval for P needs finite lo < hi, got 1:1"),
+        (["--level", "nan"], "level must be finite and nonnegative, got nan"),
+        (["--level", "inf"], "level must be finite and nonnegative, got inf"),
+    ],
+)
+def test_levelset_contours_reject_a_bad_box_or_level(capsys, args, message):
+    command = ["levelset", "--model", "cancer", "--axes", "P,Q", *args]
+    if "--level" not in args:
+        command += ["--level", "0.25"]
+    assert run_command(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fixed, stray", [("Tstar=1,Typo=3", "Typo"), ("Tstar=1,T=5", "T")])
+def test_levelset_contours_reject_fixed_names_that_are_not_remaining_states(capsys, fixed, stray):
+    args = ["levelset", "--model", "hiv1", "--level", "1", "--axes", "T,V", "--fixed", fixed]
+    assert run_command(args) == 2
+    assert capsys.readouterr().err == f"error: fixed values for names that are not remaining states: ['{stray}']\n"
 
 
 def test_levelset_rerun_is_byte_identical(capsys):

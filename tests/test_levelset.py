@@ -7,41 +7,81 @@ import numpy as np
 import pytest
 
 import jetgeo.levelset
-from conftest import cancer_zero_curve
+from conftest import cancer_zero_curve, hiv_level_set
 from jetgeo.cli import parse_system_file
 from jetgeo.expr import evaluate
 from jetgeo.geometry import derive
-from jetgeo.levelset import (
-    Contours,
-    EllipticCylinder,
-    EmptySet,
-    Line,
-    classify_hiv_level_set,
-    extract_contours,
-    hiv_invariants,
-    marching_squares,
-)
+from jetgeo.levelset import Contours, classify_level_set, extract_contours, marching_squares
 from jetgeo.models import builtin_model, cancer_model, hiv_model
+
+E_T, E_TSTAR, E_V = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# closed-form classification
+# quadric level sets, with the HIV-1 closed form as the oracle
+
+
+def _classify_hiv(k, n, delta, C):
+    system, _ = hiv_model(k=k, n=n, delta=delta)
+    return classify_level_set(derive(system), C)
+
+
+def _assert_branch_matches_discriminant(result, oracle, C, k):
+    assert oracle["minor"] > 0.0 and oracle["trace"] > 0.0
+    disc = oracle["discriminant"]
+    if result.kind == "line":
+        assert abs(disc) <= 1e-9 * k**4 * (1.0 + 8.0 * C)
+    elif result.kind == "elliptic cylinder":
+        assert disc < 0.0
+    else:
+        assert result.kind == "empty" and disc > 0.0
+
+
+def _assert_on_level(system, result, rng, count=64):
+    """Points center + sum_i t_i semi_axes[i] axes[i] + sum_j s_j free[j] with
+    |t| = 1 have EYM = level; the center attains the critical level."""
+    energy = derive(system).yang_mills_energy
+
+    def eym(x):
+        point = dict(system.params)
+        point.update(zip(system.state_names, x))
+        return evaluate(energy, point)
+
+    center = np.array(result.center)
+    C_star = result.critical_level
+    assert abs(eym(center) - C_star) <= 1e-9 * (1.0 + C_star)
+    if result.empty:
+        return
+    for _ in range(count):
+        t = np.array([rng.gauss(0.0, 1.0) for _ in result.semi_axes])
+        x = center + sum(rng.uniform(-5.0, 5.0) * np.array(f) for f in result.free)
+        if t.size:
+            t /= np.linalg.norm(t)
+            x = x + sum(ti * a * np.array(axis) for ti, a, axis in zip(t, result.semi_axes, result.axes))
+        assert abs(eym(x) - result.level) <= 1e-9 * (1.0 + result.level)
 
 
 def test_trichotomy_reference_levels():
-    assert classify_hiv_level_set(1.0, 1.0, 1.0, 0.05) == EmptySet()
+    empty = _classify_hiv(1.0, 1.0, 1.0, 0.05)
+    assert empty.kind == "empty" and empty.empty
+    assert (empty.semi_axes, empty.axes, empty.free) == ((), (), ())
 
-    line = classify_hiv_level_set(1.0, 1.0, 1.0, 0.125)
-    assert isinstance(line, Line)
-    assert line.point == (0.5, 0.0, 0.0)
-    assert line.direction == (0.0, 1.0, 0.0)
+    line = _classify_hiv(1.0, 1.0, 1.0, 0.125)
+    assert line.kind == "line"
+    assert line.center == (0.5, 0.0, 0.0)
+    assert line.semi_axes == (0.0, 0.0)
+    assert line.free == (E_TSTAR,)
 
-    cyl = classify_hiv_level_set(1.0, 1.0, 1.0, 0.25)
-    assert isinstance(cyl, EllipticCylinder)
-    assert cyl.center_T == pytest.approx(0.5, abs=1e-15)
-    assert cyl.semi_axis_a == pytest.approx(0.5, abs=1e-15)
-    assert cyl.semi_axis_b == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-    assert cyl.axis == "Tstar"
+    cyl = _classify_hiv(1.0, 1.0, 1.0, 0.25)
+    assert cyl.kind == "elliptic cylinder"
+    assert cyl.critical_level == 0.125
+    assert cyl.center[0] == pytest.approx(0.5, abs=1e-15)
+    assert cyl.center[1:] == (0.0, 0.0)
+    b, a = cyl.semi_axes
+    assert a == pytest.approx(0.5, abs=1e-15)
+    assert b == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    assert cyl.axes == (E_V, E_T)
+    assert cyl.free == (E_TSTAR,)
 
 
 def test_invariant_signs_track_the_branch():
@@ -52,24 +92,46 @@ def test_invariant_signs_track_the_branch():
         delta = rng.uniform(0.2, 3.0)
         c_star = (n * delta) ** 2 / 8.0
         level = rng.choice([0.0, c_star * rng.uniform(0.0, 0.95), c_star, c_star * rng.uniform(1.05, 4.0)])
-        inv = hiv_invariants(k, n, delta, level)
-        result = classify_hiv_level_set(k, n, delta, level)
-        assert inv.minor > 0.0 and inv.trace > 0.0
-        if isinstance(result, Line):
-            assert abs(inv.discriminant) <= 1e-9 * k**4 * (1.0 + 8.0 * level)
-        if isinstance(result, EllipticCylinder):
-            assert inv.discriminant < 0.0
-        if isinstance(result, EmptySet):
-            assert inv.discriminant > 0.0
+        result = _classify_hiv(k, n, delta, level)
+        _assert_branch_matches_discriminant(result, hiv_level_set(k, n, delta, level), level, k)
+
+
+def test_classifier_matches_the_hiv_closed_form():
+    rng = random.Random(17)
+    factors = [None, 1.0 - 1e-10, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.0 + 1e-10, None]
+    for draw in range(245):
+        k = rng.uniform(0.2, 3.0)
+        n = rng.uniform(0.2, 3.0)
+        delta = rng.uniform(0.2, 3.0)
+        c_star = (n * delta) ** 2 / 8.0
+        factor = factors[draw % len(factors)]
+        if factor is None:
+            factor = rng.uniform(0.0, 0.95) if draw % 2 else rng.uniform(1.05, 4.0)
+        C = c_star * factor
+        oracle = hiv_level_set(k, n, delta, C)
+        result = _classify_hiv(k, n, delta, C)
+        _assert_branch_matches_discriminant(result, oracle, C, k)
+        assert result.critical_level == pytest.approx(oracle["critical_level"], rel=1e-12)
+        assert result.center[0] == pytest.approx(oracle["center_T"], rel=1e-12)
+        assert result.center[1:] == (0.0, 0.0)
+        if result.empty:
+            continue
+        assert [abs(c) for c in result.free[0]] == list(E_TSTAR) and len(result.free) == 1
+        assert result.axes == (E_V, E_T)
+        # C - C* cancels near the critical level, so the squared semi-axes
+        # agree to 1e-12 of C / eigenvalue; far from it, to 1e-12 relative
+        for got, want, eigenvalue in zip(result.semi_axes, (oracle["b"], oracle["a"]), (k * k / 4, k * k / 2)):
+            assert got**2 == pytest.approx(want**2, rel=1e-12, abs=1e-12 * C / eigenvalue)
+            if factor >= 1.05:
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_trichotomy_is_exhaustive_and_exclusive_near_critical_level():
     k, n, delta = 1.3, 0.7, 1.9
     c_star = (n * delta) ** 2 / 8.0
-    for factor in (0.0, 0.5, 1.0 - 1e-10, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.0 + 1e-10, 2.0):
-        result = classify_hiv_level_set(k, n, delta, c_star * factor)
-        kinds = [isinstance(result, t) for t in (EmptySet, Line, EllipticCylinder)]
-        assert sum(kinds) == 1
+    factors = (0.0, 0.5, 1.0 - 1e-10, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.0 + 1e-10, 2.0)
+    kinds = [_classify_hiv(k, n, delta, c_star * factor).kind for factor in factors]
+    assert kinds == ["empty"] * 3 + ["line"] * 3 + ["elliptic cylinder"] * 2
 
 
 def test_cylinder_semi_axes_ordered():
@@ -79,43 +141,62 @@ def test_cylinder_semi_axes_ordered():
         n = rng.uniform(0.2, 3.0)
         delta = rng.uniform(0.2, 3.0)
         level = (n * delta) ** 2 / 8.0 * rng.uniform(1.01, 5.0)
-        cyl = classify_hiv_level_set(k, n, delta, level)
-        assert isinstance(cyl, EllipticCylinder)
-        assert 0.0 < cyl.semi_axis_a < cyl.semi_axis_b
+        cyl = _classify_hiv(k, n, delta, level)
+        assert cyl.kind == "elliptic cylinder"
+        b, a = cyl.semi_axes
+        assert 0.0 < a < b
+        assert cyl.axes == (E_V, E_T)
 
 
 def test_cylinder_parametrization_lies_on_energy_level():
-    system, _ = hiv_model()
-    energy = derive(system).yang_mills_energy
     rng = random.Random(10)
     for _ in range(5):
         k = rng.uniform(0.3, 2.0)
         n = rng.uniform(0.3, 2.0)
         delta = rng.uniform(0.3, 2.0)
         level = (n * delta) ** 2 / 8.0 * rng.uniform(1.1, 4.0)
-        cyl = classify_hiv_level_set(k, n, delta, level)
-        for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
-            point = dict(system.params)
-            point.update(
-                {
-                    "k": k,
-                    "n": n,
-                    "delta": delta,
-                    "T": cyl.center_T + cyl.semi_axis_a * math.cos(theta),
-                    "V": cyl.semi_axis_b * math.sin(theta),
-                    "Tstar": rng.uniform(-5.0, 5.0),
-                }
-            )
-            assert abs(evaluate(energy, point) - level) <= 1e-9 * (1.0 + level)
+        system, _ = hiv_model(k=k, n=n, delta=delta)
+        cyl = classify_level_set(derive(system), level)
+        assert cyl.kind == "elliptic cylinder"
+        _assert_on_level(system, cyl, rng)
+
+
+@pytest.mark.parametrize(
+    "text, kinds",
+    [
+        (
+            "vars: x y z\nparams: a=2\neq x: z^2 + a*y\neq y: x^2\neq z: 3*y^2\n",
+            {0.0: "point", 0.5: "ellipsoid", 3.0: "ellipsoid"},
+        ),
+        ("vars: x y\nparams: a=2\neq x: a*y^2 + 1\neq y: x^2 - y\n", {0.0: "line", 0.5: "two parallel lines"}),
+        ("vars: x y\neq x: y\neq y: -x\n", {0.5: "empty", 1.0: "plane", 1.5: "empty"}),
+    ],
+)
+def test_quadric_level_sets_of_file_systems_lie_on_the_level(text, kinds):
+    system = parse_system_file(text)
+    d = derive(system)
+    rng = random.Random(11)
+    for level, kind in kinds.items():
+        result = classify_level_set(d, level)
+        assert result.kind == kind
+        _assert_on_level(system, result, rng)
+    if system.n == 3:
+        assert result.center == (1.0, 0.0, 0.0)
 
 
 def test_classification_argument_validation():
     with pytest.raises(ValueError, match="positive"):
-        classify_hiv_level_set(0.0, 1.0, 1.0, 0.1)
+        hiv_model(k=0.0)
     with pytest.raises(ValueError, match="positive"):
-        classify_hiv_level_set(1.0, -2.0, 1.0, 0.1)
+        hiv_model(n=-2.0)
+    d = derive(hiv_model()[0])
     with pytest.raises(ValueError, match="nonnegative"):
-        classify_hiv_level_set(1.0, 1.0, 1.0, -0.1)
+        classify_level_set(d, -0.1)
+    for level in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            classify_level_set(d, level)
+    with pytest.raises(ValueError, match="N_12 is not affine in P"):
+        classify_level_set(derive(cancer_model()[0]), 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +331,25 @@ def test_extract_contours_validates_arguments():
     hiv, _ = hiv_model()
     with pytest.raises(ValueError, match="unbound"):
         extract_contours(hiv, ("T", "V"), {}, box, 1.0, 16)
+
+
+@pytest.mark.parametrize(
+    "box, level, fixed, message",
+    [
+        (((1.0, 1.0), (0.0, 3.0)), 1.0, {"Tstar": 1.0}, r"box interval for T needs finite lo < hi, got 1:1"),
+        (((0.0, 3.0), (3.0, 0.0)), 1.0, {"Tstar": 1.0}, r"box interval for V needs finite lo < hi, got 3:0"),
+        (((0.0, math.inf), (0.0, 3.0)), 1.0, {"Tstar": 1.0}, r"box interval for T needs finite lo < hi, got 0:inf"),
+        (((0.0, 3.0), (0.0, 3.0)), math.nan, {"Tstar": 1.0}, r"level must be finite and nonnegative, got nan"),
+        (((0.0, 3.0), (0.0, 3.0)), math.inf, {"Tstar": 1.0}, r"level must be finite and nonnegative, got inf"),
+        (((0.0, 3.0), (0.0, 3.0)), 1.0, {"Tstar": 1.0, "Typo": 3.0}, r"not remaining states: \['Typo'\]"),
+        (((0.0, 3.0), (0.0, 3.0)), 1.0, {"Tstar": 1.0, "T": 5.0}, r"not remaining states: \['T'\]"),
+    ],
+    ids=["empty-interval", "reversed-interval", "infinite-interval", "nan-level", "inf-level", "unknown-name", "axis-name"],
+)
+def test_extract_contours_rejects_bad_boxes_levels_and_fixed_names(box, level, fixed, message):
+    system, _ = hiv_model()
+    with pytest.raises(ValueError, match=message):
+        extract_contours(system, ("T", "V"), fixed, box, level, 16)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,15 @@ def test_integrate_validates_arguments(cancer):
         integrate_flow(cancer, (1.0,), 1.0, 0.01)
 
 
+@pytest.mark.parametrize(
+    "t_end, dt",
+    [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf), (-math.inf, 0.1)],
+)
+def test_integrate_rejects_non_finite_times(cancer, t_end, dt):
+    with pytest.raises(ValueError, match=r"dt and t_end must be finite"):
+        integrate_flow(cancer, (1.0, 1.0), t_end, dt)
+
+
 def test_integration_reports_blowup_time_and_state():
     s = OdeSystem.from_strings(("x", "y"), ("x^2", "0"))
     with pytest.raises(IntegrationError) as err:

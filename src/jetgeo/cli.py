@@ -1,11 +1,12 @@
 """Command-line front end: system-file parsing, dispatch, report and CSV output.
 
-Subcommands
+Subcommands, each taking only the options its handler reads
     analyze   derived objects + identity verdicts for a system
     verify    golden regression (built-in models) and invariant suite
-    trace     fixed-step integration, CSV export, optional geodesic check
-    levelset  classification of {EYM = C} for a quadratic energy, or
-              contours (level 0: the zero-energy curve of a planar system)
+    trace     fixed-step integration, CSV export
+    geodesic  fixed-step integration, verdict on the variational property
+    classify  classification of {EYM = level} for a quadratic energy
+    contour   EYM contours on a 2-d slice (level 0: planar zero-energy curve)
 
 Systems come from --model cancer|hiv1 or from --file in the line format
 
@@ -29,8 +30,8 @@ from typing import Sequence
 from .expr import ParseError, parse_expression, to_string
 from .geometry import GeometryReport, OdeSystem, analyze, derive
 from .levelset import classify_level_set, extract_contours
-from .models import builtin_model, golden_compare, golden_domain
-from .variational import geodesic_check, integrate_flow
+from .models import MODEL_NAMES, builtin_model, golden_compare, golden_domain
+from .variational import Trajectory, geodesic_check, integrate_flow
 
 __all__ = ["parse_system_file", "run_command", "main"]
 
@@ -112,7 +113,7 @@ def parse_system_file(text: str) -> OdeSystem:
 
 def _add_system_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--model", choices=("cancer", "hiv1"), help="built-in model")
+    group.add_argument("--model", choices=MODEL_NAMES, help="built-in model")
     group.add_argument("--file", help="system description file")
 
 
@@ -201,17 +202,22 @@ def _write_output(body: str, out: str | None, what: str, size: str) -> None:
         sys.stdout.write(body)
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _integrate(args: argparse.Namespace) -> tuple[OdeSystem, str, Trajectory]:
     system, _, label = _load_system(args)
-    x0 = [float(v) for v in args.x0.split(",")]
-    traj = integrate_flow(system, x0, args.t, args.dt)
-    csv = traj.to_csv(system.state_names)
-    _write_output(csv, args.out, f"trace: {label}", f"{traj.samples.shape[0]} samples")
-    if args.check_geodesic:
-        record = geodesic_check(system, traj)
-        print(record.status_line())
-        return 0 if record.passed else 1
+    return system, label, integrate_flow(system, [float(v) for v in args.x0.split(",")], args.t, args.dt)
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    system, label, traj = _integrate(args)
+    _write_output(traj.to_csv(system.state_names), args.out, f"trace: {label}", f"{traj.samples.shape[0]} samples")
     return 0
+
+
+def _cmd_geodesic(args: argparse.Namespace) -> int:
+    system, _, traj = _integrate(args)
+    record = geodesic_check(system, traj)
+    print(record.status_line())
+    return 0 if record.passed else 1
 
 
 def _along(names: Sequence[str], direction: Sequence[float]) -> str:
@@ -222,15 +228,11 @@ def _along(names: Sequence[str], direction: Sequence[float]) -> str:
     return ", ".join(f"{name}={_fmt(c)}" for name, c in parts)
 
 
-def _cmd_levelset(args: argparse.Namespace) -> int:
-    if args.C is None and args.level is None:
-        raise SystemFileError("levelset needs one of --C or --level")
+def _cmd_classify(args: argparse.Namespace) -> int:
     system, _, label = _load_system(args)
-    if args.level is not None:
-        return _levelset_contours(system, label, args)
-    result = classify_level_set(derive(system), args.C)
+    result = classify_level_set(derive(system), args.level)
     names = system.state_names
-    print(f"levelset classification of {label} at C={_fmt(args.C)}")
+    print(f"levelset classification of {label} at C={_fmt(args.level)}")
     print(f"  critical level C* = {_fmt(result.critical_level)}")
     print("  center " + ", ".join(f"{name}={_fmt(c)}" for name, c in zip(names, result.center)))
     for a, axis in zip(result.semi_axes, result.axes):
@@ -241,9 +243,8 @@ def _cmd_levelset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _levelset_contours(system: OdeSystem, label: str, args: argparse.Namespace) -> int:
-    if not args.axes:
-        raise SystemFileError("contour extraction needs --axes")
+def _cmd_contour(args: argparse.Namespace) -> int:
+    system, _, label = _load_system(args)
     axes = tuple(args.axes.split(","))
     if len(axes) != 2:
         raise SystemFileError("--axes expects two comma-separated state names")
@@ -286,41 +287,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # no prefix matching: a mistyped option is an error, never another option
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        _add_system_options(p)
+        p.set_defaults(func=func)
+        return p
+
     # only the commands that sample take a seed
-    p_analyze = sub.add_parser("analyze", help="derived objects and identity verdicts")
-    _add_system_options(p_analyze)
-    p_analyze.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p_analyze.set_defaults(func=_cmd_analyze)
+    p = command("analyze", _cmd_analyze, "derived objects and identity verdicts")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
-    p_verify = sub.add_parser("verify", help="golden regression and invariant suite")
-    _add_system_options(p_verify)
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p_verify.add_argument("--samples", type=int, default=32, help="sample points per check")
-    p_verify.set_defaults(func=_cmd_verify)
+    p = command("verify", _cmd_verify, "golden regression and invariant suite")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    p.add_argument("--samples", type=int, default=32, help="sample points per check")
 
-    p_trace = sub.add_parser("trace", help="integrate the flow and export CSV")
-    _add_system_options(p_trace)
-    p_trace.add_argument("--x0", required=True, help="initial state, comma-separated")
-    p_trace.add_argument("--t", type=float, required=True, help="integration horizon")
-    p_trace.add_argument("--dt", type=float, default=1e-3, help="fixed step size")
-    p_trace.add_argument("--check-geodesic", action="store_true")
-    p_trace.add_argument("--out", help="trajectory CSV path (default: stdout)")
-    p_trace.set_defaults(func=_cmd_trace)
+    trace = command("trace", _cmd_trace, "integrate the flow and export CSV")
+    geodesic = command("geodesic", _cmd_geodesic, "integrate the flow and check the Euler-Lagrange residual")
+    for p in (trace, geodesic):
+        p.add_argument("--x0", required=True, help="initial state, comma-separated")
+        p.add_argument("--t", type=float, required=True, help="integration horizon")
+        p.add_argument("--dt", type=float, default=1e-3, help="fixed step size")
+    trace.add_argument("--out", help="trajectory CSV path (default: stdout)")
 
-    # no prefix matching: the removed --a and --h would silently mean --axes and --help
-    p_level = sub.add_parser(
-        "levelset", help="classification, or contours (level 0: zero-energy curve)", allow_abbrev=False
-    )
-    _add_system_options(p_level)
-    mode = p_level.add_mutually_exclusive_group()
-    mode.add_argument("--C", type=float, help="energy level to classify (N must be affine in the states)")
-    mode.add_argument("--level", type=float, help="energy level to contour; 0 traces N_12 = 0 (planar systems only)")
-    p_level.add_argument("--axes", default=None, help="two states, e.g. P,Q")
-    p_level.add_argument("--fixed", default=None, help="remaining states, e.g. V=1.0")
-    p_level.add_argument("--box", default="0:5,0:5", help="sampling box lo1:hi1,lo2:hi2")
-    p_level.add_argument("--grid", type=int, default=64, help="cells per side")
-    p_level.add_argument("--out", help="CSV output path (default: stdout)")
-    p_level.set_defaults(func=_cmd_levelset)
+    p = command("classify", _cmd_classify, "classify {EYM = level} (N must be affine in the states)")
+    p.add_argument("--level", type=float, required=True, help="energy level to classify")
+
+    p = command("contour", _cmd_contour, "contours of EYM on a 2-d slice (level 0: zero-energy curve)")
+    p.add_argument("--level", type=float, required=True, help="energy level; 0 traces N_12 = 0 (planar systems only)")
+    p.add_argument("--axes", required=True, help="two states, e.g. P,Q")
+    p.add_argument("--fixed", default=None, help="remaining states, e.g. V=1.0")
+    p.add_argument("--box", default="0:5,0:5", help="sampling box lo1:hi1,lo2:hi2")
+    p.add_argument("--grid", type=int, default=64, help="cells per side")
+    p.add_argument("--out", help="CSV output path (default: stdout)")
     return parser
 
 

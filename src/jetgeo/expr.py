@@ -733,6 +733,8 @@ def sample_points(
     90% of draws are rejected the box is unusable and an EvaluationError is
     raised rather than guessing.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     consts = {k: float(v) for k, v in (fixed or {}).items() if k not in domain}
     missing = set().union(*map(free_symbols, probes)) - set(domain) - set(consts)
     if missing:

@@ -115,9 +115,8 @@ def euler_lagrange_residual(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled solution curve. Samples are read-only, shape (m, n)."""
+    """Solution curve sampled at t = m * dt. Samples are read-only, shape (m, n)."""
 
-    t0: float
     dt: float
     samples: np.ndarray
 
@@ -130,7 +129,7 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.samples.shape[0])
+        return self.dt * np.arange(self.samples.shape[0])
 
     def to_csv(self, state_names: Sequence[str]) -> str:
         """CSV with header t,<var1>,...,<varn> at full double precision."""
@@ -189,7 +188,7 @@ def integrate_flow(
             if not all(math.isfinite(v) for v in state):
                 raise IntegrationError("state became non-finite", t + dt, state)
             samples.append(list(state))
-    return Trajectory(t0=0.0, dt=dt, samples=np.array(samples))
+    return Trajectory(dt=dt, samples=np.array(samples))
 
 
 def geodesic_check(s: OdeSystem, traj: Trajectory) -> VerificationRecord:
@@ -225,5 +224,5 @@ def geodesic_check(s: OdeSystem, traj: Trajectory) -> VerificationRecord:
     worst_idx = int(np.argmax(norms))
     worst = float(norms[worst_idx])
     tolerance = 1e-4 * (1.0 + float(np.max(np.linalg.norm(x, axis=1))))
-    detail = f"worst at interior sample {worst_idx + 1} (t={traj.t0 + (worst_idx + 1) * dt:.6g})"
+    detail = f"worst at interior sample {worst_idx + 1} (t={(worst_idx + 1) * dt:.6g})"
     return VerificationRecord("geodesic_residual", worst <= tolerance, worst, tolerance, detail)

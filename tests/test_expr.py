@@ -397,6 +397,19 @@ def test_sample_points_rejects_a_probe_singular_at_every_draw():
             sample_points([e], {"x": (0.1, 1.0)}, 8, seed=0)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampling_rejects_fewer_than_one_draw(samples):
+    # with no draw every deviation reads 0 and a check would PASS on nothing
+    x = parse_expression("x")
+    message = f"samples must be at least 1, got {samples}"
+    with pytest.raises(ValueError, match=message):
+        sample_points([x], {"x": (0.1, 1.0)}, samples, seed=0)
+    with pytest.raises(ValueError, match=message):
+        sample_deviation(x, x, {"x": (0.1, 1.0)}, samples=samples)
+    with pytest.raises(ValueError, match=message):
+        analyze(cancer_model()[0], samples=samples)
+
+
 def test_equivalence_is_deterministic_in_seed():
     e1 = parse_expression("sin(x)*x + x^2")
     e2 = parse_expression("x^2 + x*sin(x)")

@@ -337,13 +337,13 @@ def test_geodesic_check_detects_corrupted_sample(cancer):
     traj = integrate_flow(cancer, (1.0, 1.0), 2.0, 1e-3)
     corrupted = traj.samples.copy()
     corrupted[1000, 0] += 1e-2
-    record = geodesic_check(cancer, Trajectory(traj.t0, traj.dt, corrupted))
+    record = geodesic_check(cancer, Trajectory(traj.dt, corrupted))
     assert not record.passed
     # the spike is localized at the perturbed sample
     assert "sample 1000" in record.detail or "sample 999" in record.detail or "sample 1001" in record.detail
 
 
 def test_geodesic_check_requires_three_samples(cancer):
-    tiny = Trajectory(0.0, 0.1, np.array([[1.0, 1.0], [0.9, 0.9]]))
+    tiny = Trajectory(0.1, np.array([[1.0, 1.0], [0.9, 0.9]]))
     with pytest.raises(ValueError, match="too short"):
         geodesic_check(cancer, tiny)

@@ -12,9 +12,7 @@ from .expr import (
     Expr,
     ParseError,
     differentiate,
-    evaluate,
     free_symbols,
-    numerically_equivalent,
     parse_expression,
     sample_deviation,
     simplify,
@@ -54,7 +52,6 @@ from .models import (
 from .variational import (
     IntegrationError,
     Trajectory,
-    euler_lagrange_residual,
     geodesic_check,
     integrate_flow,
     least_squares_lagrangian,

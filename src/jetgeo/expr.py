@@ -1,11 +1,18 @@
 """Symbolic expression trees over named real variables.
 
 Small, self-contained computer algebra core: parsing, differentiation,
-lightweight simplification, compilation to numpy lambdas (with `evaluate` as
-the reference interpreter), and a seeded sampling oracle that decides whether
-two expressions agree as functions on a box.
-Trees are immutable after construction and every operation is a pure
-function, so expressions may be shared freely across threads.
+lightweight simplification, compilation to numpy lambdas, and a seeded
+sampling oracle that decides whether two expressions agree as functions on a
+box. The tests keep a tree-walking interpreter, `tests/reference.py`, as the
+reference for the compiled path.
+
+The fields of a node never change after construction, and every operation
+is a pure function of them. A compound node also keeps its own results of
+`simplify`, `_diff` (one per variable) and `free_symbols`, each set once and
+outside its fields, so they take no part in `==`, `hash` or `repr`. A
+subtree that differentiation copies into many trees stays one object, and
+each of these walks reaches it once. Nodes may be shared across threads: two
+threads may compute a result twice, but they get equal trees.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ __all__ = [
     "EvaluationError",
     "parse_expression",
     "differentiate",
-    "evaluate",
     "simplify",
     "substitute",
     "free_symbols",
@@ -41,18 +47,15 @@ __all__ = [
     "compile_expr",
     "sample_points",
     "sample_deviation",
-    "numerically_equivalent",
     "DEFAULT_SAMPLES",
-    "DEFAULT_RTOL",
 ]
 
 Bindings = Mapping[str, float]
 Interval = tuple[float, float]
 Box = Mapping[str, Interval]
 
-#: sample count and relative tolerance used by the equivalence oracle
+#: sample count of the equivalence oracle
 DEFAULT_SAMPLES = 32
-DEFAULT_RTOL = 1e-9
 
 
 class ParseError(ValueError):
@@ -70,6 +73,10 @@ class EvaluationError(ArithmeticError):
 @dataclass(frozen=True)
 class Expr:
     """Base node. Arithmetic operators build new trees; ints/floats coerce."""
+
+    # what `simplify`, `_diff` and `free_symbols` keep on a compound node (see
+    # _Kept); a class attribute, so not a field
+    _kept = None
 
     def __add__(self, other) -> "Expr":
         return Add(self, _coerce(other))
@@ -156,6 +163,32 @@ class Pow(Expr):
 class Call(Expr):
     func: str
     arg: Expr
+
+
+class _Kept:
+    """The results kept on one compound node, under one attribute name.
+
+    CPython 3.11 lays out instance attributes by keys that a class shares,
+    and once a class has many instances the keys take only one more name.
+    Each further name set late gives every node its own `__dict__`, and two
+    threads building one node's `__dict__` while a garbage collection runs
+    a finalizer corrupt it (seen as wrong trees and crashes).
+    """
+
+    __slots__ = ("simplified", "derivatives", "free_symbols")
+
+
+def _kept(e: Expr) -> _Kept:
+    kept = getattr(e, "_kept", None)
+    if kept is None:
+        if not isinstance(e, Expr):
+            raise TypeError(f"not an expression node: {e!r}")
+        # set here rather than in an __init__, which would be one more frame
+        # at the bottom of every recursive walk
+        kept = _Kept()
+        kept.simplified = kept.derivatives = kept.free_symbols = None
+        object.__setattr__(e, "_kept", kept)
+    return kept
 
 
 FUNCTIONS: Mapping[str, Callable[[float], float]] = {
@@ -414,15 +447,27 @@ def free_symbols(e: Expr) -> frozenset[str]:
         return frozenset()
     if isinstance(e, Sym):
         return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return free_symbols(e.arg)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_symbols(e.left) | free_symbols(e.right)
-    if isinstance(e, Pow):
-        return free_symbols(e.base)
-    if isinstance(e, Call):
-        return free_symbols(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+    # `_kept` inlined: this walk recurses one frame per level, and a helper
+    # frame at the deepest node would lower the depth at which it fails
+    kept = getattr(e, "_kept", None)
+    if kept is None and isinstance(e, Expr):
+        kept = _Kept()
+        kept.simplified = kept.derivatives = kept.free_symbols = None
+        object.__setattr__(e, "_kept", kept)
+    found = kept.free_symbols if kept is not None else None
+    if found is None:
+        if isinstance(e, Neg):
+            found = free_symbols(e.arg)
+        elif isinstance(e, (Add, Sub, Mul, Div)):
+            found = free_symbols(e.left) | free_symbols(e.right)
+        elif isinstance(e, Pow):
+            found = free_symbols(e.base)
+        elif isinstance(e, Call):
+            found = free_symbols(e.arg)
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        kept.free_symbols = found
+    return found
 
 
 def substitute(e: Expr, replacements: Mapping[str, Union[Expr, float, int]]) -> Expr:
@@ -445,54 +490,6 @@ def substitute(e: Expr, replacements: Mapping[str, Union[Expr, float, int]]) -> 
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-
-def evaluate(e: Expr, bindings: Bindings) -> float:
-    """IEEE-double evaluation. Domain errors name the offending subexpression."""
-    if isinstance(e, Num):
-        return float(e.value)
-    if isinstance(e, Sym):
-        try:
-            return float(bindings[e.name])
-        except KeyError:
-            raise EvaluationError(f"unbound symbol '{e.name}'") from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, bindings)
-    if isinstance(e, Add):
-        return evaluate(e.left, bindings) + evaluate(e.right, bindings)
-    if isinstance(e, Sub):
-        return evaluate(e.left, bindings) - evaluate(e.right, bindings)
-    if isinstance(e, Mul):
-        return evaluate(e.left, bindings) * evaluate(e.right, bindings)
-    if isinstance(e, Div):
-        num = evaluate(e.left, bindings)
-        den = evaluate(e.right, bindings)
-        if den == 0.0:
-            raise EvaluationError(f"division by zero in '{to_string(e)}'")
-        return num / den
-    if isinstance(e, Pow):
-        base = evaluate(e.base, bindings)
-        try:
-            return float(base**e.exponent)
-        except ZeroDivisionError:
-            raise EvaluationError(f"division by zero in '{to_string(e)}'") from None
-        except OverflowError:
-            raise EvaluationError(f"overflow in '{to_string(e)}'") from None
-    if isinstance(e, Call):
-        arg = evaluate(e.arg, bindings)
-        if e.func == "sqrt" and arg < 0.0:
-            raise EvaluationError(f"sqrt of negative in '{to_string(e)}'")
-        if e.func == "log" and arg <= 0.0:
-            raise EvaluationError(f"log of non-positive in '{to_string(e)}'")
-        try:
-            return FUNCTIONS[e.func](arg)
-        except OverflowError:
-            raise EvaluationError(f"overflow in '{to_string(e)}'") from None
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
 # differentiation
 
 
@@ -502,10 +499,21 @@ def differentiate(e: Expr, var: str) -> Expr:
 
 
 def _diff(e: Expr, var: str) -> Expr:
+    """The unsimplified derivative, kept on a compound node per variable."""
     if isinstance(e, Num):
         return Num(0.0)
     if isinstance(e, Sym):
         return Num(1.0) if e.name == var else Num(0.0)
+    kept = _kept(e)
+    if kept.derivatives is None:
+        kept.derivatives = {}
+    found = kept.derivatives.get(var)
+    if found is None:
+        found = kept.derivatives[var] = _diff_rule(e, var)
+    return found
+
+
+def _diff_rule(e: Expr, var: str) -> Expr:
     if isinstance(e, Neg):
         return Neg(_diff(e.arg, var))
     if isinstance(e, Add):
@@ -558,10 +566,19 @@ def simplify(e: Expr) -> Expr:
 
     The result is numerically equivalent to the input wherever the input is
     defined. Constants are folded only to finite values, so the result prints
-    in the input grammar.
+    in the input grammar. A compound node keeps its result, so a subtree
+    shared by many trees is simplified once.
     """
     if isinstance(e, (Num, Sym)):
         return e
+    kept = _kept(e)
+    found = kept.simplified
+    if found is None:
+        found = kept.simplified = _simplify_rule(e)
+    return found
+
+
+def _simplify_rule(e: Expr) -> Expr:
     if isinstance(e, Neg):
         arg = simplify(e.arg)
         if isinstance(arg, Neg):
@@ -684,8 +701,8 @@ def compile_expr(
     it, the expressions are emitted as given. Functions come from numpy, so
     array arguments evaluate a whole batch of points in one call and follow
     numpy's error state; Python float operands raise ZeroDivisionError or
-    OverflowError as Python does. `evaluate` is the reference interpreter
-    for the tests. Symbols map to positional slots. A tree too deep for
+    OverflowError as Python does. The tests compare it with the
+    tree-walking interpreter of `tests/reference.py`. Symbols map to positional slots. A tree too deep for
     Python's parser or compiler is a ValueError.
     """
     if fixed is not None:
@@ -709,7 +726,7 @@ def compile_expr(
 
 class _Batch(np.ndarray):
     """Sample columns raised to integer powers by the C library's pow, as in
-    `evaluate`; numpy's `**` squares exactly and vectorizes other powers, so
+    the tests' reference interpreter; numpy's `**` squares exactly and vectorizes other powers, so
     its last bit can differ."""
 
     def __pow__(self, exponent):
@@ -787,14 +804,3 @@ def sample_deviation(
     dev = np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
     return float(np.max(dev, initial=0.0))
 
-
-def numerically_equivalent(
-    e1: Expr,
-    e2: Expr,
-    domain: Box,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    rtol: float = DEFAULT_RTOL,
-) -> bool:
-    """True iff the sampled relative deviation stays within rtol on the box."""
-    return sample_deviation(e1, e2, domain, samples=samples, seed=seed) <= rtol

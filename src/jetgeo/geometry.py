@@ -34,7 +34,6 @@ from .expr import (
     Num,
     Sub,
     differentiate,
-    evaluate,
     free_symbols,
     parse_expression,
     sample_points,
@@ -87,10 +86,6 @@ class ExprMatrix:
 
     def map(self, fn: Callable[[Expr], Expr]) -> "ExprMatrix":
         return ExprMatrix(self.rows, self.cols, tuple(fn(e) for e in self.entries))
-
-    def evaluate(self, bindings: Mapping[str, float]) -> np.ndarray:
-        values = [evaluate(e, bindings) for e in self.entries]
-        return np.array(values, dtype=float).reshape(self.rows, self.cols)
 
     def __iter__(self) -> Iterator[Expr]:
         return iter(self.entries)

@@ -22,8 +22,6 @@ from .expr import (
     Sub,
     Sym,
     compile_expr,
-    differentiate,
-    evaluate,
     simplify,
 )
 from .geometry import OdeSystem, VerificationRecord, jacobian
@@ -33,7 +31,6 @@ __all__ = [
     "velocity_names",
     "least_squares_lagrangian",
     "second_order_prolongation",
-    "euler_lagrange_residual",
     "Trajectory",
     "IntegrationError",
     "integrate_flow",
@@ -72,45 +69,6 @@ def second_order_prolongation(s: OdeSystem) -> tuple[Expr, ...]:
             acc = acc + J[j, i] * s.components[j]
         out.append(simplify(acc))
     return tuple(out)
-
-
-def _residual_forms(s: OdeSystem) -> tuple[list[Expr], list[list[Expr]], list[list[Expr]]]:
-    """Partials of L needed for the residual: dL/dx_i, and the second partials
-    d2L/dx_j dx1_i and d2L/dx1_j dx1_i that expand d/dt along (x, x1, x2)."""
-    L = least_squares_lagrangian(s)
-    states = s.state_names
-    vels = velocity_names(s)
-    dLdx = [differentiate(L, name) for name in states]
-    dLdv = [differentiate(L, name) for name in vels]
-    mixed = [[differentiate(dLdv[i], xj) for xj in states] for i in range(s.n)]
-    accel = [[differentiate(dLdv[i], vj) for vj in vels] for i in range(s.n)]
-    return dLdx, mixed, accel
-
-
-def euler_lagrange_residual(
-    s: OdeSystem,
-    x: Sequence[float],
-    x1: Sequence[float],
-    x2: Sequence[float],
-) -> np.ndarray:
-    """Residual dL/dx_i - d/dt(dL/dx1_i) with d/dt expanded along (x, x1, x2).
-
-    Zero exactly when x2 equals the second-order prolongation at (x, x1).
-    """
-    if not (len(x) == len(x1) == len(x2) == s.n):
-        raise ValueError(f"expected three vectors of length {s.n}")
-    dLdx, mixed, accel = _residual_forms(s)
-    point = dict(s.params)
-    point.update(zip(s.state_names, map(float, x)))
-    point.update(zip(velocity_names(s), map(float, x1)))
-    res = np.empty(s.n)
-    for i in range(s.n):
-        total_dt = 0.0
-        for j in range(s.n):
-            total_dt += evaluate(mixed[i][j], point) * float(x1[j])
-            total_dt += evaluate(accel[i][j], point) * float(x2[j])
-        res[i] = evaluate(dLdx[i], point) - total_dt
-    return res
 
 
 @dataclass(frozen=True)
@@ -197,8 +155,8 @@ def geodesic_check(s: OdeSystem, traj: Trajectory) -> VerificationRecord:
 
     The residual of L equals 2 (P(x, x') - x''), P the second-order
     prolongation, so only the n entries of P are compiled, into one function;
-    nothing is differentiated beyond J. `euler_lagrange_residual` is the
-    reference.
+    nothing is differentiated beyond J. `euler_lagrange_residual` in
+    `tests/reference.py`, which differentiates L twice, is the reference.
 
     The tolerance is 1e-4 * (1 + max state norm), matching the O(dt^2)
     discretization error of the central differences at dt = 1e-3.

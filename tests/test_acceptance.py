@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import cancer_zero_curve, gradient_field, hiv_level_set, random_rational_field
-from jetgeo.expr import Num, evaluate
+from jetgeo.expr import Num
 from jetgeo.geometry import (
     OdeSystem,
     default_domain,
@@ -21,6 +21,7 @@ from jetgeo.geometry import (
 from jetgeo.levelset import classify_level_set, marching_squares
 from jetgeo.models import GoldenSet, cancer_model, golden_compare, golden_domain, hiv_model
 from jetgeo.variational import geodesic_check, integrate_flow
+from reference import evaluate, evaluate_matrix
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -88,8 +89,8 @@ def test_criterion_3_structural_invariants(random_fields):
         trace_form = Num(0.5) * trace_form
         for _ in range(5):
             point = {name: rng.uniform(0.1, 2.0) for name in system.state_names}
-            nv = N.evaluate(point)
-            fv = F.evaluate(point)
+            nv = evaluate_matrix(N, point)
+            fv = evaluate_matrix(F, point)
             # N_ij and N_ji come from the same two J entries and F = -N, through
             # sign changes that are exact in floating point
             exact = [
@@ -101,7 +102,7 @@ def test_criterion_3_structural_invariants(random_fields):
             # each remaining deviation normalized by the scale of what it compares
             scaled = []
             for R in slices:
-                rv = R.evaluate(point)
+                rv = evaluate_matrix(R, point)
                 scaled.append(float(np.max(np.abs(rv + rv.T))) / (1.0 + float(np.max(np.abs(rv)))))
             e_tri = evaluate(energy, point)
             e_trace = evaluate(trace_form, point)
@@ -141,11 +142,11 @@ def test_criterion_5_gradient_field_degeneracy():
         )
         for _ in range(5):
             point = {name: rng.uniform(0.1, 2.0) for name in system.state_names}
-            scale = 1.0 + float(np.max(np.abs(J.evaluate(point))))
+            scale = 1.0 + float(np.max(np.abs(evaluate_matrix(J, point))))
             deviation = max(
-                float(np.max(np.abs(N.evaluate(point)))),
-                float(np.max(np.abs(F.evaluate(point)))),
-                max(float(np.max(np.abs(R.evaluate(point)))) for R in slices),
+                float(np.max(np.abs(evaluate_matrix(N, point)))),
+                float(np.max(np.abs(evaluate_matrix(F, point)))),
+                max(float(np.max(np.abs(evaluate_matrix(R, point)))) for R in slices),
                 math.sqrt(abs(evaluate(energy, point))),
             )
             worst = max(worst, deviation / scale)

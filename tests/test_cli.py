@@ -353,18 +353,30 @@ def test_levelset_rerun_is_byte_identical(capsys):
         (200, ["contour", "--level", "0.01", "--axes", "x,y", "--box", "0:1,0:1"]),
         (400, ["trace", "--x0", "0.5,0.5", "--t", "0.1", "--dt", "0.01"]),
         (400, ["contour", "--level", "0.01", "--axes", "x,y", "--box", "0:1,0:1"]),
-        (400, ["analyze"]),
+        (2000, ["analyze"]),
     ],
 )
 def test_too_deep_expressions_are_usage_errors(tmp_path, capsys, terms, command):
     # a sum of `terms` products nests deeper than Python's parser (200) or
     # recursion limit allows; the CLI reports it on one line, not a traceback
-    path = tmp_path / "deep.txt"
-    path.write_text("vars: x y\nparams: c=0.001\neq x: " + " + ".join(["c*x*y"] * terms) + "\neq y: x - y\n")
+    path = _deep_sum_file(tmp_path, terms)
     assert run_command([command[0], "--file", str(path), *command[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_analyze_derives_a_400_term_sum(tmp_path, capsys):
+    # 400 terms are below the depth at which `_diff` and `simplify` run out of stack
+    assert run_command(["analyze", "--file", str(_deep_sum_file(tmp_path, 400))]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("PASS maxwell 0.000e+00\n") and captured.err == ""
+
+
+def _deep_sum_file(tmp_path, terms):
+    path = tmp_path / "deep.txt"
+    path.write_text("vars: x y\nparams: c=0.001\neq x: " + " + ".join(["c*x*y"] * terms) + "\neq y: x - y\n")
+    return path
 
 
 # ---------------------------------------------------------------------------

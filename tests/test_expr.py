@@ -1,6 +1,11 @@
+import dataclasses
+import gc
 import math
 import random
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,8 +15,10 @@ from hypothesis import strategies as st
 from conftest import random_expression, random_rational_field
 from jetgeo.expr import (
     Add,
+    Call,
     Div,
     EvaluationError,
+    Expr,
     Mul,
     Neg,
     Num,
@@ -21,9 +28,7 @@ from jetgeo.expr import (
     Sym,
     compile_expr,
     differentiate,
-    evaluate,
     free_symbols,
-    numerically_equivalent,
     parse_expression,
     sample_deviation,
     sample_points,
@@ -33,8 +38,9 @@ from jetgeo.expr import (
 )
 from jetgeo import expr as expr_module
 from jetgeo import levelset, variational
-from jetgeo.geometry import analyze, derive
-from jetgeo.models import cancer_model
+from jetgeo.geometry import OdeSystem, analyze, derive
+from jetgeo.models import cancer_model, hiv_model
+from reference import evaluate, numerically_equivalent
 
 BOX4 = {name: (0.1, 3.0) for name in ("P", "Q", "h", "k")}
 
@@ -180,6 +186,54 @@ def test_mixed_partials_commute():
         except EvaluationError:
             continue
     assert checked >= 20
+
+
+def _to_sympy(e, sp):
+    """The same tree in sympy, with every constant as the exact rational of its double."""
+    if isinstance(e, Num):
+        return sp.Rational(e.value)
+    if isinstance(e, Sym):
+        return sp.Symbol(e.name)
+    if isinstance(e, Neg):
+        return -_to_sympy(e.arg, sp)
+    if isinstance(e, Pow):
+        return _to_sympy(e.base, sp) ** e.exponent
+    if isinstance(e, Call):
+        return getattr(sp, e.func)(_to_sympy(e.arg, sp))
+    left, right = _to_sympy(e.left, sp), _to_sympy(e.right, sp)
+    ops = {Add: sp.Add, Sub: lambda a, b: a - b, Mul: sp.Mul, Div: lambda a, b: a / b}
+    return ops[type(e)](left, right)
+
+
+def _has_call(e):
+    children = (getattr(e, f.name) for f in dataclasses.fields(e))
+    return isinstance(e, Call) or any(_has_call(c) for c in children if isinstance(c, Expr))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_derivative_matches_sympy(case_seed):
+    # sympy differentiates the same tree exactly and evaluates it to 30 digits
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(case_seed)
+    e = random_expression(rng, ("x", "y"), depth=4)
+    while not _has_call(e):
+        e = random_expression(rng, ("x", "y"), depth=4)
+    exact = _to_sympy(e, sp)
+    for var in ("x", "y"):
+        derivative = differentiate(e, var)
+        reference = sp.diff(exact, sp.Symbol(var))
+        for _ in range(4):
+            point = {"x": rng.uniform(0.2, 1.9), "y": rng.uniform(0.2, 1.9)}
+            try:
+                evaluate(e, point)  # the point is inside the tree's domain
+                got = evaluate(derivative, point)
+            except EvaluationError:
+                continue
+            want = reference.evalf(30, subs={sp.Symbol(k): sp.Rational(v) for k, v in point.items()})
+            if not (want.is_real and want.is_finite and math.isfinite(got)):
+                continue
+            assert abs(got - float(want)) <= 1e-8 * (1.0 + abs(float(want))), (to_string(e), var, point)
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +542,79 @@ def test_each_consumer_compiles_once_per_family(monkeypatch):
     sizes.clear()
     levelset.extract_contours(s, ("P", "Q"), {}, ((0.1, 3.0), (0.1, 3.0)), 0.2, 16)
     assert sizes == [1]  # the energy
+
+
+# ---------------------------------------------------------------------------
+# results kept on the nodes
+
+
+def _derived_strings(d):
+    matrices = (d.jacobian, d.connection, *d.torsion, d.electromagnetic)
+    return [to_string(e) for m in matrices for e in m] + [to_string(d.yang_mills_energy)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cancer_model()[0],
+        lambda: hiv_model()[0],
+        lambda: random_rational_field(random.Random(0), 4),
+        lambda: random_rational_field(random.Random(7), 4),
+    ],
+    ids=["cancer", "hiv1", "field-4d-seed0", "field-4d-seed7"],
+)
+def test_derivation_does_not_depend_on_kept_results(make):
+    s = make()
+    fresh = _derived_strings(derive(s))
+    warm = _derived_strings(derive(s))
+    reparsed = OdeSystem(
+        s.state_names, tuple(parse_expression(to_string(c)) for c in s.components), s.params
+    )
+    assert warm == fresh
+    assert _derived_strings(derive(reparsed)) == fresh
+
+
+def test_kept_results_are_invisible_on_the_node():
+    text = "h*P*Q/(1 + k*P^2) - sin(P*Q)^2"
+    e, twin = parse_expression(text), parse_expression(text)
+    simplified = simplify(e)
+    derivatives = {name: differentiate(e, name) for name in ("P", "Q")}
+    symbols = free_symbols(e)
+    # a repeated call returns the kept object
+    assert simplify(e) is simplified and free_symbols(e) is symbols
+    assert all(differentiate(e, name) is d for name, d in derivatives.items())
+    assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin)
+    assert dataclasses.fields(e) == dataclasses.fields(twin)
+    assert dataclasses.asdict(e) == dataclasses.asdict(twin)
+    assert dataclasses.replace(e) == twin
+
+
+def test_a_dropped_derivation_is_collected():
+    # nothing outside the nodes holds on to a derived tree
+    d = derive(random_rational_field(random.Random(0), 4))
+    entry = d.torsion[0][0, 1]
+    assert isinstance(entry, (Add, Sub, Mul, Div, Neg))
+    ref = weakref.ref(entry)
+    del d, entry
+    gc.collect()
+    assert ref() is None
+
+
+def test_threads_deriving_one_system_get_equal_trees():
+    # two threads may both compute a node's result and both store it; each
+    # must still get the tree a single thread derives
+    s = random_rational_field(random.Random(3), 4)
+    want = _derived_strings(derive(random_rational_field(random.Random(3), 4)))
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(derive(s))) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 4
+    assert all(_derived_strings(d) == want for d in results)

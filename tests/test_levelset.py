@@ -9,10 +9,10 @@ import pytest
 import jetgeo.levelset
 from conftest import cancer_zero_curve, hiv_level_set
 from jetgeo.cli import parse_system_file
-from jetgeo.expr import evaluate
 from jetgeo.geometry import derive
 from jetgeo.levelset import Contours, classify_level_set, extract_contours, marching_squares
 from jetgeo.models import builtin_model, cancer_model, hiv_model
+from reference import evaluate
 
 E_T, E_TSTAR, E_V = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from jetgeo.expr import Num, numerically_equivalent, parse_expression
+from jetgeo.expr import Num, parse_expression
 from jetgeo.geometry import derive
 from jetgeo.models import (
     GoldenSet,
@@ -12,6 +12,7 @@ from jetgeo.models import (
     golden_domain,
     hiv_model,
 )
+from reference import numerically_equivalent
 
 @pytest.fixture(scope="module")
 def cancer():

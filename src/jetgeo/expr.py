@@ -8,11 +8,11 @@ reference for the compiled path.
 
 The fields of a node never change after construction, and every operation
 is a pure function of them. A compound node also keeps its own results of
-`simplify`, `_diff` (one per variable) and `free_symbols`, each set once and
-outside its fields, so they take no part in `==`, `hash` or `repr`. A
-subtree that differentiation copies into many trees stays one object, and
-each of these walks reaches it once. Nodes may be shared across threads: two
-threads may compute a result twice, but they get equal trees.
+`simplify` and `_diff` (one per variable), set once in a slot outside its
+fields, so they take no part in `==`, `hash` or `repr`. A subtree that
+differentiation copies into many trees stays one object, and each of these
+walks reaches it once. Nodes may be shared across threads: two threads may
+compute a result twice, but they get equal trees.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ class EvaluationError(ArithmeticError):
 class Expr:
     """Base node. Arithmetic operators build new trees; ints/floats coerce."""
 
-    # what `simplify`, `_diff` and `free_symbols` keep on a compound node (see
-    # _Kept); a class attribute, so not a field
-    _kept = None
+    # `_kept` holds what `simplify` and `_diff` keep on a compound node (see
+    # _Kept); a slot rather than a field, and the nodes have no `__dict__`
+    __slots__ = ("_kept", "__weakref__")
 
     def __add__(self, other) -> "Expr":
         return Add(self, _coerce(other))
@@ -114,80 +114,80 @@ class Expr:
         return to_string(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sym(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call(Expr):
     func: str
     arg: Expr
 
 
 class _Kept:
-    """The results kept on one compound node, under one attribute name.
+    """The results kept on one compound node: its simplified form and its
+    unsimplified derivative per variable.
 
-    CPython 3.11 lays out instance attributes by keys that a class shares,
-    and once a class has many instances the keys take only one more name.
-    Each further name set late gives every node its own `__dict__`, and two
-    threads building one node's `__dict__` while a garbage collection runs
-    a finalizer corrupt it (seen as wrong trees and crashes).
+    Each is stored by one reference assignment, so two threads that meet
+    at a node at most compute a result twice and keep one of two equal
+    trees.
     """
 
-    __slots__ = ("simplified", "derivatives", "free_symbols")
+    __slots__ = ("simplified", "derivatives")
 
 
 def _kept(e: Expr) -> _Kept:
-    kept = getattr(e, "_kept", None)
-    if kept is None:
+    try:
+        return e._kept
+    except AttributeError:
         if not isinstance(e, Expr):
-            raise TypeError(f"not an expression node: {e!r}")
-        # set here rather than in an __init__, which would be one more frame
-        # at the bottom of every recursive walk
-        kept = _Kept()
-        kept.simplified = kept.derivatives = kept.free_symbols = None
-        object.__setattr__(e, "_kept", kept)
+            raise TypeError(f"not an expression node: {e!r}") from None
+    # set here rather than in an __init__, which would be one more frame at
+    # the bottom of every recursive walk
+    kept = _Kept()
+    kept.simplified = kept.derivatives = None
+    object.__setattr__(e, "_kept", kept)
     return kept
 
 
@@ -447,27 +447,15 @@ def free_symbols(e: Expr) -> frozenset[str]:
         return frozenset()
     if isinstance(e, Sym):
         return frozenset((e.name,))
-    # `_kept` inlined: this walk recurses one frame per level, and a helper
-    # frame at the deepest node would lower the depth at which it fails
-    kept = getattr(e, "_kept", None)
-    if kept is None and isinstance(e, Expr):
-        kept = _Kept()
-        kept.simplified = kept.derivatives = kept.free_symbols = None
-        object.__setattr__(e, "_kept", kept)
-    found = kept.free_symbols if kept is not None else None
-    if found is None:
-        if isinstance(e, Neg):
-            found = free_symbols(e.arg)
-        elif isinstance(e, (Add, Sub, Mul, Div)):
-            found = free_symbols(e.left) | free_symbols(e.right)
-        elif isinstance(e, Pow):
-            found = free_symbols(e.base)
-        elif isinstance(e, Call):
-            found = free_symbols(e.arg)
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-        kept.free_symbols = found
-    return found
+    if isinstance(e, Neg):
+        return free_symbols(e.arg)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return free_symbols(e.left) | free_symbols(e.right)
+    if isinstance(e, Pow):
+        return free_symbols(e.base)
+    if isinstance(e, Call):
+        return free_symbols(e.arg)
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def substitute(e: Expr, replacements: Mapping[str, Union[Expr, float, int]]) -> Expr:

@@ -27,7 +27,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .expr import ParseError, parse_expression, to_string
+from .expr import DEFAULT_SAMPLES, ParseError, parse_expression, to_string
 from .geometry import GeometryReport, OdeSystem, analyze, derive
 from .levelset import classify_level_set, extract_contours
 from .models import MODEL_NAMES, builtin_model, golden_compare, golden_domain
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", _cmd_verify, "golden regression and invariant suite")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.add_argument("--samples", type=int, default=32, help="sample points per check")
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="sample points per check")
 
     trace = command("trace", _cmd_trace, "integrate the flow and export CSV")
     geodesic = command("geodesic", _cmd_geodesic, "integrate the flow and check the Euler-Lagrange residual")

@@ -8,8 +8,8 @@ reference for the compiled path.
 
 The fields of a node never change after construction, and every operation
 is a pure function of them. A compound node also keeps its own results of
-`simplify` and `_diff` (one per variable), set once in a slot outside its
-fields, so they take no part in `==`, `hash` or `repr`. A subtree that
+`simplify` and `_diff` (one per variable) in two slots of `Expr`, outside
+its fields, so they take no part in `==`, `hash` or `repr`. A subtree that
 differentiation copies into many trees stays one object, and each of these
 walks reaches it once. Nodes may be shared across threads: two threads may
 compute a result twice, but they get equal trees.
@@ -74,9 +74,12 @@ class EvaluationError(ArithmeticError):
 class Expr:
     """Base node. Arithmetic operators build new trees; ints/floats coerce."""
 
-    # `_kept` holds what `simplify` and `_diff` keep on a compound node (see
-    # _Kept); a slot rather than a field, and the nodes have no `__dict__`
-    __slots__ = ("_kept", "__weakref__")
+    # what `simplify` and `_diff` keep on a compound node: its simplified
+    # form, and its unsimplified derivatives by variable. Slots rather than
+    # fields, so the nodes have no `__dict__`, and each result is stored by
+    # one reference assignment: two threads that meet at a node at most
+    # compute a result twice and keep one of two equal trees.
+    __slots__ = ("_simplified", "_derivatives", "__weakref__")
 
     def __add__(self, other) -> "Expr":
         return Add(self, _coerce(other))
@@ -163,32 +166,6 @@ class Pow(Expr):
 class Call(Expr):
     func: str
     arg: Expr
-
-
-class _Kept:
-    """The results kept on one compound node: its simplified form and its
-    unsimplified derivative per variable.
-
-    Each is stored by one reference assignment, so two threads that meet
-    at a node at most compute a result twice and keep one of two equal
-    trees.
-    """
-
-    __slots__ = ("simplified", "derivatives")
-
-
-def _kept(e: Expr) -> _Kept:
-    try:
-        return e._kept
-    except AttributeError:
-        if not isinstance(e, Expr):
-            raise TypeError(f"not an expression node: {e!r}") from None
-    # set here rather than in an __init__, which would be one more frame at
-    # the bottom of every recursive walk
-    kept = _Kept()
-    kept.simplified = kept.derivatives = None
-    object.__setattr__(e, "_kept", kept)
-    return kept
 
 
 FUNCTIONS: Mapping[str, Callable[[float], float]] = {
@@ -492,12 +469,15 @@ def _diff(e: Expr, var: str) -> Expr:
         return Num(0.0)
     if isinstance(e, Sym):
         return Num(1.0) if e.name == var else Num(0.0)
-    kept = _kept(e)
-    if kept.derivatives is None:
-        kept.derivatives = {}
-    found = kept.derivatives.get(var)
+    # the rule runs before any store, so a non-node raises its TypeError
+    derivatives = getattr(e, "_derivatives", None)
+    if derivatives is None:
+        found = _diff_rule(e, var)
+        object.__setattr__(e, "_derivatives", {var: found})
+        return found
+    found = derivatives.get(var)
     if found is None:
-        found = kept.derivatives[var] = _diff_rule(e, var)
+        found = derivatives[var] = _diff_rule(e, var)
     return found
 
 
@@ -559,10 +539,10 @@ def simplify(e: Expr) -> Expr:
     """
     if isinstance(e, (Num, Sym)):
         return e
-    kept = _kept(e)
-    found = kept.simplified
+    found = getattr(e, "_simplified", None)
     if found is None:
-        found = kept.simplified = _simplify_rule(e)
+        found = _simplify_rule(e)
+        object.__setattr__(e, "_simplified", found)
     return found
 
 
@@ -788,7 +768,11 @@ def sample_deviation(
     Points where either expression is singular are redrawn (see
     `sample_points`).
     """
-    v1, v2 = sample_points((e1, e2), domain, samples, seed).T
+    return _deviation(*sample_points((e1, e2), domain, samples, seed).T)
+
+
+def _deviation(v1: np.ndarray, v2: np.ndarray) -> float:
+    """The `sample_deviation` of two columns of sampled values."""
     dev = np.abs(v1 - v2) / (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
     return float(np.max(dev, initial=0.0))
 

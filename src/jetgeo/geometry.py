@@ -28,6 +28,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .expr import (
+    DEFAULT_SAMPLES,
     Box,
     Expr,
     Neg,
@@ -258,7 +259,7 @@ def default_domain(s: OdeSystem) -> dict[str, tuple[float, float]]:
 def maxwell_check(
     d: Derivation,
     domain: Box,
-    samples: int = 32,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> VerificationRecord:
     """Cyclic identity d_k F_ij + d_i F_jk + d_j F_ki = 0 over all index triples.
@@ -281,7 +282,7 @@ def maxwell_check(
     return VerificationRecord("maxwell", worst <= tol, worst, tol)
 
 
-def analyze(s: OdeSystem, samples: int = 32, seed: int = 0) -> GeometryReport:
+def analyze(s: OdeSystem, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> GeometryReport:
     """Derive every object for one system and verify its identities on the
     default domain."""
     d = derive(s)

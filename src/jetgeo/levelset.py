@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .expr import EvaluationError, compile_expr, free_symbols, simplify, substitute
-from .geometry import Derivation, OdeSystem, electromagnetic_form, jacobian, nonlinear_connection, yang_mills_energy
+from .geometry import Derivation, OdeSystem, derive
 
 __all__ = [
     "Contours",
@@ -309,8 +309,8 @@ def extract_contours(
             f"the common zero set of {s.n * (s.n - 1) // 2} entries of N"
         )
 
-    N = nonlinear_connection(jacobian(s))
-    traced = N[0, 1] if level == 0.0 else yang_mills_energy(electromagnetic_form(N))
+    d = derive(s)
+    traced = d.connection[0, 1] if level == 0.0 else d.yang_mills_energy
     bindings = dict(s.params)
     bindings.update({name: float(fixed[name]) for name in remaining})
     fn = compile_expr([traced], (u, v), bindings)

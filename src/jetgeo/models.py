@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .expr import Box, Expr, differentiate, parse_expression, sample_deviation
+from .expr import DEFAULT_SAMPLES, Box, Expr, _deviation, differentiate, parse_expression, sample_points
 from .geometry import Derivation, OdeSystem, VerificationRecord, derive
 
 __all__ = [
@@ -250,15 +250,17 @@ def golden_compare(
     system: OdeSystem,
     golden: GoldenSet,
     domain: Box,
-    samples: int = 32,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     tolerance: float = 1e-9,
 ) -> GoldenComparison:
     """Check every golden expression against the engine-derived object.
 
-    Each comparison samples the domain box (states and parameters alike) and
-    records the worst relative deviation; the whole set passes only if every
-    path passes.
+    One `sample_points` call draws the domain box (states and parameters
+    alike) for every engine and reference expression, so every path is
+    judged on the same accepted draws; a draw where any of them is singular
+    is redrawn for all. Each path records its `sample_deviation` on those
+    draws; the whole set passes only if every path passes.
     """
     derived = _golden_paths(derive(system))
     unresolved = sorted(set(golden.entries) - set(derived))
@@ -266,9 +268,10 @@ def golden_compare(
         raise ValueError(f"unresolvable golden path {unresolved[0]!r}")
     pairs = [(path, derived[path], golden.entries[path]) for path in sorted(golden.entries)]
     pairs += [(name, *golden.auxiliary[name]) for name in sorted(golden.auxiliary)]
+    columns = sample_points([e for _, *pair in pairs for e in pair], domain, samples, seed).T
     records = []
-    for name, engine, reference in pairs:
-        dev = sample_deviation(engine, reference, domain, samples=samples, seed=seed)
+    for (name, _, _), engine, reference in zip(pairs, columns[0::2], columns[1::2]):
+        dev = _deviation(engine, reference)
         records.append(VerificationRecord(f"golden:{name}", dev <= tolerance, dev, tolerance))
     return GoldenComparison(tuple(records))
 

@@ -590,6 +590,26 @@ def test_kept_results_are_invisible_on_the_node():
     assert not hasattr(e, "__dict__") and copy.deepcopy(e) == twin
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: simplify(5),
+        lambda: differentiate(5, "x"),
+        lambda: differentiate(Add(Sym("x"), 5), "x"),
+        lambda: substitute(5, {"x": 1.0}),
+        lambda: free_symbols(5),
+        lambda: to_string(5),
+        lambda: compile_expr([5], ("x",)),
+    ],
+    ids=["simplify", "differentiate", "differentiate-child", "substitute",
+         "free_symbols", "to_string", "compile_expr"],
+)
+def test_a_non_node_is_a_type_error(call):
+    # a memo entry point must reject a non-node before it stores anything on it
+    with pytest.raises(TypeError, match="not an expression node"):
+        call()
+
+
 def test_a_dropped_derivation_is_collected():
     # nothing outside the nodes holds on to a derived tree
     d = derive(random_rational_field(random.Random(0), 4))

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from jetgeo.expr import Num, parse_expression
+from jetgeo.expr import Num, parse_expression, sample_deviation
 from jetgeo.geometry import derive
 from jetgeo.models import (
     GoldenSet,
@@ -12,6 +12,7 @@ from jetgeo.models import (
     golden_domain,
     hiv_model,
 )
+from jetgeo.models import _golden_paths
 from reference import numerically_equivalent
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,24 @@ def test_wrong_sign_golden_fails_exactly_that_path(hiv):
     )
     failed = [r.name for r in comparison.records if not r.passed]
     assert failed == ["golden:connection[1][2]"]
+
+
+@pytest.mark.parametrize("seed, samples", [(0, 32), (1, 4), (5, 200)])
+@pytest.mark.parametrize("name, states", [("cancer", (0.1, 5.0)), ("hiv1", (0.1, 10.0))])
+def test_one_draw_golden_matches_each_path_sampled_alone(name, states, seed, samples):
+    # one sample_points call serves every path; on boxes where no path is
+    # singular each record equals the per-pair comparison bit for bit
+    system, golden = builtin_model(name)
+    domain = golden_domain(system, states)
+    derived = _golden_paths(derive(system))
+    pairs = {path: (derived[path], reference) for path, reference in golden.entries.items()}
+    pairs.update(golden.auxiliary)
+    comparison = golden_compare(system, golden, domain, samples=samples, seed=seed)
+    assert len(comparison.records) == len(pairs)
+    for record in comparison.records:
+        engine, reference = pairs[record.name.removeprefix("golden:")]
+        alone = sample_deviation(engine, reference, domain, samples=samples, seed=seed)
+        assert record.max_deviation.hex() == alone.hex(), record.name
 
 
 def test_hiv_middle_torsion_slice_is_identically_zero(hiv):
